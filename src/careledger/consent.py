@@ -121,9 +121,6 @@ def parse_quiz(lines: Iterable[str]) -> Quiz:
 # On-chain fold
 # ---------------------------------------------------------------------------
 
-STATES = ("invited", "attempted", "passed", "signed", "withdrawn")
-
-
 @dataclass
 class AttemptRecord:
     ordinal: int

@@ -2,23 +2,43 @@
 
 Transactions are the only thing that ever reaches the chain; they carry
 pseudonymous ids and salted commitments, never names, measurements, or quiz
-answers. Each transaction has a canonical byte encoding (see `codec`); its
+answers. Each transaction has one canonical byte encoding (see `codec`); its
 id is the SHA-256 of that encoding, and the author signs the id. Blocks link
 by header hash and are co-signed by an endorsement quorum of member
 organizations; the header hash excludes the endorsements so every endorser
 signs the same digest.
+
+Every record type on the wire declares its fields once, with `wire(codec)`.
+That declaration is the wire layout (fields in declaration order), the
+decoder, and, for payloads, the audit view.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import ClassVar, Iterable, Iterator, Optional
 
 from . import crypto
-from .codec import Reader, Writer
+from .codec import (
+    BOOL,
+    U32,
+    U64,
+    Codec,
+    Enumerated,
+    Opt,
+    Pair,
+    Raw,
+    Reader,
+    Seq,
+    SortedSet,
+    Str,
+    Struct,
+    Writer,
+    wire,
+)
 from .errors import ChainError, EncodingError
 
 ZERO_HASH = bytes(32)
@@ -33,19 +53,11 @@ class Kind(str, enum.Enum):
     PARTICIPANT = "participant"
 
 
-_KIND_CODES = {k: i for i, k in enumerate(Kind)}
-_KIND_BY_CODE = {i: k for k, i in _KIND_CODES.items()}
-
-
 class Category(str, enum.Enum):
     VITALS = "vitals"
     MEDICATION = "medication"
     NOTES = "notes"
     TREATMENTS = "treatments"
-
-
-_CATEGORY_CODES = {c: i for i, c in enumerate(Category)}
-_CATEGORY_BY_CODE = {i: c for c, i in _CATEGORY_CODES.items()}
 
 
 def parse_category(name: str) -> Category:
@@ -65,89 +77,93 @@ class PrincipalId:
     def __post_init__(self) -> None:
         if not 1 <= len(self.id) <= ID_BOUND:
             raise EncodingError(f"principal id length out of range: {self.id!r}")
-        if not all(0x20 <= ord(ch) <= 0x7E for ch in self.id):
+        if not (self.id.isascii() and self.id.isprintable()):  # 0x20-0x7E
             raise EncodingError(f"principal id not printable ASCII: {self.id!r}")
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.id}"
 
 
-def write_principal(w: Writer, p: PrincipalId) -> None:
-    w.u8(_KIND_CODES[p.kind])
-    w.string(p.id, bound=ID_BOUND)
+class _Principal(Codec):
+    """Kind code, then the id as a bounded string. Sorts as PrincipalId does
+    (by the kind's value, then the id); shows in audit records as the id."""
+
+    def write(self, w: Writer, value: PrincipalId) -> None:
+        KIND.write(w, value.kind)
+        w.string(value.id, ID_BOUND)
+
+    def read(self, r: Reader) -> PrincipalId:
+        return PrincipalId(KIND.read(r), r.string(ID_BOUND))
+
+    def audit(self, value: PrincipalId) -> str:
+        return value.id
 
 
-def read_principal(r: Reader) -> PrincipalId:
-    code = r.u8()
-    if code not in _KIND_BY_CODE:
-        raise EncodingError(f"unknown principal kind code {code}")
-    return PrincipalId(_KIND_BY_CODE[code], r.string(bound=ID_BOUND))
-
-
-def _write_categories(w: Writer, scope: frozenset[Category]) -> None:
-    codes = sorted(_CATEGORY_CODES[c] for c in scope)
-    w.u32(len(codes))
-    for code in codes:
-        w.u8(code)
-
-
-def _read_categories(r: Reader) -> frozenset[Category]:
-    n = r.u32()
-    out = []
-    for _ in range(n):
-        code = r.u8()
-        if code not in _CATEGORY_BY_CODE:
-            raise EncodingError(f"unknown category code {code}")
-        out.append(_CATEGORY_BY_CODE[code])
-    return frozenset(out)
-
-
-def _write_category(w: Writer, category: Category) -> None:
-    w.u8(_CATEGORY_CODES[category])
-
-
-def _read_category(r: Reader) -> Category:
-    code = r.u8()
-    if code not in _CATEGORY_BY_CODE:
-        raise EncodingError(f"unknown category code {code}")
-    return _CATEGORY_BY_CODE[code]
+KIND = Enumerated(Kind)
+CATEGORY = Enumerated(Category)
+PRINCIPAL = _Principal()
+ID = Str(ID_BOUND)
+HASH = Raw(32)
+KEY = Raw(crypto.KEY_LEN)
+SIGNATURE = Raw(crypto.SIGNATURE_LEN)
 
 
 # ---------------------------------------------------------------------------
-# Payloads. Field order inside encode/decode is the declared wire order.
+# Payloads. Each field's `wire()` declaration gives its wire type and its
+# audit key: the field name unless `audit=` renames it, hidden when None,
+# and the audit subject (by id) when SUBJECT.
 # ---------------------------------------------------------------------------
 
+SUBJECT = object()
+_PAYLOAD_TYPES: dict[int, type] = {}
 
-@dataclass(frozen=True)
-class RegisterPrincipal:
-    TAG = 1
-    ACTION = "RegisterPrincipal"
-    subject: PrincipalId
-    public_key: bytes
-    org_binding: Optional[PrincipalId] = None
-    identity_commitment: Optional[bytes] = None
 
-    def encode(self, w: Writer) -> None:
-        write_principal(w, self.subject)
-        w.raw(self.public_key, crypto.KEY_LEN)
-        if self.org_binding is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            write_principal(w, self.org_binding)
-        if self.identity_commitment is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.raw(self.identity_commitment, 32)
+class Payload:
+    """Base of the payload types. `_payload(tag)` derives the class
+    attributes below from the class's `wire()` fields."""
 
-    @staticmethod
-    def decode(r: Reader) -> "RegisterPrincipal":
-        subject = read_principal(r)
-        key = r.raw(crypto.KEY_LEN)
-        binding = read_principal(r) if r.boolean() else None
-        commit = r.raw(32) if r.boolean() else None
-        return RegisterPrincipal(subject, key, binding, commit)
+    TAG: ClassVar[int]
+    ACTION: ClassVar[str]  # the class name
+    WIRE: ClassVar[Struct]
+    SUBJECT_FIELD: ClassVar[Optional[str]] = None
+    AUDIT: ClassVar[tuple] = ()  # (field name, audit key, codec)
+
+    def audit_subject(self) -> str:
+        return getattr(self, self.SUBJECT_FIELD).id if self.SUBJECT_FIELD else ""
+
+    def audit_detail(self) -> dict:
+        detail = {}
+        for name, key, codec in self.AUDIT:
+            value = getattr(self, name)
+            if value is not None:
+                detail[key] = codec.audit(value)
+        return detail
+
+
+def _payload(tag: int):
+    def declare(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.TAG, cls.ACTION, cls.WIRE = tag, cls.__name__, Struct(cls)
+        audit = []
+        for f in fields(cls):
+            key = f.metadata.get("audit", f.name)
+            if key is SUBJECT:
+                cls.SUBJECT_FIELD = f.name
+            elif key is not None:
+                audit.append((f.name, key, f.metadata["codec"]))
+        cls.AUDIT = tuple(audit)
+        _PAYLOAD_TYPES[tag] = cls
+        return cls
+
+    return declare
+
+
+@_payload(1)
+class RegisterPrincipal(Payload):
+    subject: PrincipalId = wire(PRINCIPAL, audit=None)
+    public_key: bytes = wire(KEY, audit=None)
+    org_binding: Optional[PrincipalId] = wire(Opt(PRINCIPAL), audit="org", default=None)
+    identity_commitment: Optional[bytes] = wire(Opt(HASH), audit="commitment", default=None)
 
     def audit_subject(self) -> str:
         if self.subject.kind in (Kind.PATIENT, Kind.PARTICIPANT):
@@ -155,478 +171,134 @@ class RegisterPrincipal:
         return ""
 
     def audit_detail(self) -> dict:
-        detail: dict = {"kind": self.subject.kind.value, "id": self.subject.id}
-        if self.org_binding is not None:
-            detail["org"] = self.org_binding.id
-        if self.identity_commitment is not None:
-            detail["commitment"] = self.identity_commitment.hex()
-        return detail
-
-
-@dataclass(frozen=True)
-class CreatePlan:
-    TAG = 2
-    ACTION = "CreatePlan"
-    plan_id: str
-    patient: PrincipalId
-    member_orgs: frozenset[PrincipalId]
-    practitioners: frozenset[tuple[PrincipalId, PrincipalId]]  # (practitioner, org)
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.plan_id, bound=ID_BOUND)
-        write_principal(w, self.patient)
-        orgs = sorted(self.member_orgs)
-        w.u32(len(orgs))
-        for org in orgs:
-            write_principal(w, org)
-        pracs = sorted(self.practitioners)
-        w.u32(len(pracs))
-        for prac, org in pracs:
-            write_principal(w, prac)
-            write_principal(w, org)
-
-    @staticmethod
-    def decode(r: Reader) -> "CreatePlan":
-        plan_id = r.string(bound=ID_BOUND)
-        patient = read_principal(r)
-        orgs = frozenset(read_principal(r) for _ in range(r.u32()))
-        pracs = frozenset(
-            (read_principal(r), read_principal(r)) for _ in range(r.u32())
-        )
-        return CreatePlan(plan_id, patient, orgs, pracs)
-
-    def audit_subject(self) -> str:
-        return self.patient.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "plan": self.plan_id,
-            "orgs": sorted(o.id for o in self.member_orgs),
-            "practitioners": sorted(f"{p.id}@{o.id}" for p, o in self.practitioners),
-        }
-
-
-@dataclass(frozen=True)
-class GrantAccess:
-    TAG = 3
-    ACTION = "GrantAccess"
-    grant_id: str
-    plan_id: str
-    grantor: PrincipalId
-    grantee: PrincipalId
-    scope: frozenset[Category]
-    valid_from: int
-    valid_until: int
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.grant_id, bound=ID_BOUND)
-        w.string(self.plan_id, bound=ID_BOUND)
-        write_principal(w, self.grantor)
-        write_principal(w, self.grantee)
-        _write_categories(w, self.scope)
-        w.u64(self.valid_from)
-        w.u64(self.valid_until)
-
-    @staticmethod
-    def decode(r: Reader) -> "GrantAccess":
-        return GrantAccess(
-            r.string(bound=ID_BOUND),
-            r.string(bound=ID_BOUND),
-            read_principal(r),
-            read_principal(r),
-            _read_categories(r),
-            r.u64(),
-            r.u64(),
-        )
-
-    def audit_subject(self) -> str:
-        return self.grantor.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "grant": self.grant_id,
-            "plan": self.plan_id,
-            "grantee": self.grantee.id,
-            "scope": sorted(c.value for c in self.scope),
-            "from": self.valid_from,
-            "until": self.valid_until,
-        }
-
-
-@dataclass(frozen=True)
-class RevokeAccess:
-    TAG = 4
-    ACTION = "RevokeAccess"
-    grant_id: str
-    patient: PrincipalId
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.grant_id, bound=ID_BOUND)
-        write_principal(w, self.patient)
-
-    @staticmethod
-    def decode(r: Reader) -> "RevokeAccess":
-        return RevokeAccess(r.string(bound=ID_BOUND), read_principal(r))
-
-    def audit_subject(self) -> str:
-        return self.patient.id
-
-    def audit_detail(self) -> dict:
-        return {"grant": self.grant_id}
-
-
-@dataclass(frozen=True)
-class DataRequestRecorded:
-    TAG = 5
-    ACTION = "DataRequestRecorded"
-    requester: PrincipalId
-    requester_org: PrincipalId
-    sender_org: PrincipalId
-    patient: PrincipalId
-    category: Category
-    emergency: bool
-
-    def encode(self, w: Writer) -> None:
-        write_principal(w, self.requester)
-        write_principal(w, self.requester_org)
-        write_principal(w, self.sender_org)
-        write_principal(w, self.patient)
-        _write_category(w, self.category)
-        w.boolean(self.emergency)
-
-    @staticmethod
-    def decode(r: Reader) -> "DataRequestRecorded":
-        return DataRequestRecorded(
-            read_principal(r),
-            read_principal(r),
-            read_principal(r),
-            read_principal(r),
-            _read_category(r),
-            r.boolean(),
-        )
-
-    def audit_subject(self) -> str:
-        return self.patient.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "requester": self.requester.id,
-            "requester_org": self.requester_org.id,
-            "sender_org": self.sender_org.id,
-            "category": self.category.value,
-            "emergency": self.emergency,
-        }
-
-
-@dataclass(frozen=True)
-class AccessCompleted:
-    TAG = 6
-    ACTION = "AccessCompleted"
-    request_tx: bytes
-    patient: PrincipalId
-    verdict: str  # allow | deny | allow_emergency
-    reason: str
-    record_count: int
-
-    def encode(self, w: Writer) -> None:
-        w.raw(self.request_tx, 32)
-        write_principal(w, self.patient)
-        w.string(self.verdict, bound=32)
-        w.string(self.reason, bound=32)
-        w.u32(self.record_count)
-
-    @staticmethod
-    def decode(r: Reader) -> "AccessCompleted":
-        return AccessCompleted(
-            r.raw(32),
-            read_principal(r),
-            r.string(bound=32),
-            r.string(bound=32),
-            r.u32(),
-        )
-
-    def audit_subject(self) -> str:
-        return self.patient.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "request_tx": self.request_tx.hex(),
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "records": self.record_count,
-        }
-
-
-@dataclass(frozen=True)
-class EmergencyAccess:
-    TAG = 7
-    ACTION = "EmergencyAccess"
-    request_tx: bytes  # zero hash when invoked outside the exchange protocol
-    requester: PrincipalId
-    patient: PrincipalId
-    category: Category
-
-    def encode(self, w: Writer) -> None:
-        w.raw(self.request_tx, 32)
-        write_principal(w, self.requester)
-        write_principal(w, self.patient)
-        _write_category(w, self.category)
-
-    @staticmethod
-    def decode(r: Reader) -> "EmergencyAccess":
-        return EmergencyAccess(
-            r.raw(32), read_principal(r), read_principal(r), _read_category(r)
-        )
-
-    def audit_subject(self) -> str:
-        return self.patient.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "request_tx": self.request_tx.hex(),
-            "requester": self.requester.id,
-            "category": self.category.value,
-            "emergency": True,
-            "flagged_for_review": True,
-        }
-
-
-@dataclass(frozen=True)
-class RegisterStudy:
-    TAG = 8
-    ACTION = "RegisterStudy"
-    study_id: str
-    quiz_hash: bytes
-    researchers: tuple[PrincipalId, ...]
-    question_count: int
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.study_id, bound=ID_BOUND)
-        w.raw(self.quiz_hash, 32)
-        w.u32(len(self.researchers))
-        for p in self.researchers:
-            write_principal(w, p)
-        w.u32(self.question_count)
-
-    @staticmethod
-    def decode(r: Reader) -> "RegisterStudy":
-        study_id = r.string(bound=ID_BOUND)
-        quiz_hash = r.raw(32)
-        researchers = tuple(read_principal(r) for _ in range(r.u32()))
-        return RegisterStudy(study_id, quiz_hash, researchers, r.u32())
-
-    def audit_subject(self) -> str:
-        return ""
-
-    def audit_detail(self) -> dict:
-        return {
-            "study": self.study_id,
-            "quiz_hash": self.quiz_hash.hex(),
-            "researchers": [p.id for p in self.researchers],
-            "questions": self.question_count,
-        }
-
-
-@dataclass(frozen=True)
-class ConsentInvited:
-    TAG = 9
-    ACTION = "ConsentInvited"
-    study_id: str
-    participant: PrincipalId
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.study_id, bound=ID_BOUND)
-        write_principal(w, self.participant)
-
-    @staticmethod
-    def decode(r: Reader) -> "ConsentInvited":
-        return ConsentInvited(r.string(bound=ID_BOUND), read_principal(r))
-
-    def audit_subject(self) -> str:
-        return self.participant.id
-
-    def audit_detail(self) -> dict:
-        return {"study": self.study_id}
-
-
-@dataclass(frozen=True)
-class QuizAttemptRecorded:
-    TAG = 10
-    ACTION = "QuizAttemptRecorded"
-    study_id: str
-    participant: PrincipalId
-    ordinal: int
-    mistakes: int
-    passed: bool
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.study_id, bound=ID_BOUND)
-        write_principal(w, self.participant)
-        w.u32(self.ordinal)
-        w.u32(self.mistakes)
-        w.boolean(self.passed)
-
-    @staticmethod
-    def decode(r: Reader) -> "QuizAttemptRecorded":
-        return QuizAttemptRecorded(
-            r.string(bound=ID_BOUND),
-            read_principal(r),
-            r.u32(),
-            r.u32(),
-            r.boolean(),
-        )
-
-    def audit_subject(self) -> str:
-        return self.participant.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "study": self.study_id,
-            "attempt": self.ordinal,
-            "mistakes": self.mistakes,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class ConsentSigned:
-    TAG = 11
-    ACTION = "ConsentSigned"
-    study_id: str
-    participant: PrincipalId
-    quiz_hash: bytes
-    passing_attempt_tx: bytes
-    consent_signature: bytes  # participant key over study_id || quiz_hash || attempt tx
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.study_id, bound=ID_BOUND)
-        write_principal(w, self.participant)
-        w.raw(self.quiz_hash, 32)
-        w.raw(self.passing_attempt_tx, 32)
-        w.raw(self.consent_signature, crypto.SIGNATURE_LEN)
-
-    @staticmethod
-    def decode(r: Reader) -> "ConsentSigned":
-        return ConsentSigned(
-            r.string(bound=ID_BOUND),
-            read_principal(r),
-            r.raw(32),
-            r.raw(32),
-            r.raw(crypto.SIGNATURE_LEN),
-        )
-
-    def audit_subject(self) -> str:
-        return self.participant.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "study": self.study_id,
-            "quiz_hash": self.quiz_hash.hex(),
-            "attempt_tx": self.passing_attempt_tx.hex(),
-        }
-
-
-@dataclass(frozen=True)
-class ConsentWithdrawn:
-    TAG = 12
-    ACTION = "ConsentWithdrawn"
-    study_id: str
-    participant: PrincipalId
-
-    def encode(self, w: Writer) -> None:
-        w.string(self.study_id, bound=ID_BOUND)
-        write_principal(w, self.participant)
-
-    @staticmethod
-    def decode(r: Reader) -> "ConsentWithdrawn":
-        return ConsentWithdrawn(r.string(bound=ID_BOUND), read_principal(r))
-
-    def audit_subject(self) -> str:
-        return self.participant.id
-
-    def audit_detail(self) -> dict:
-        return {"study": self.study_id}
-
-
-@dataclass(frozen=True)
-class ProfilePublished:
-    TAG = 13
-    ACTION = "ProfilePublished"
-    participant: PrincipalId
-    commitments: frozenset[bytes]
-    discoverable: bool
-    study_overrides: frozenset[tuple[str, bool]]
-
-    def encode(self, w: Writer) -> None:
-        write_principal(w, self.participant)
-        commits = sorted(self.commitments)
-        w.u32(len(commits))
-        for c in commits:
-            w.raw(c, 32)
-        w.boolean(self.discoverable)
-        overrides = sorted(self.study_overrides)
-        w.u32(len(overrides))
-        for study_id, flag in overrides:
-            w.string(study_id, bound=ID_BOUND)
-            w.boolean(flag)
-
-    @staticmethod
-    def decode(r: Reader) -> "ProfilePublished":
-        participant = read_principal(r)
-        commits = frozenset(r.raw(32) for _ in range(r.u32()))
-        discoverable = r.boolean()
-        overrides = frozenset(
-            (r.string(bound=ID_BOUND), r.boolean()) for _ in range(r.u32())
-        )
-        return ProfilePublished(participant, commits, discoverable, overrides)
-
-    def audit_subject(self) -> str:
-        return self.participant.id
-
-    def audit_detail(self) -> dict:
-        return {
-            "commitments": sorted(c.hex() for c in self.commitments),
-            "discoverable": self.discoverable,
-            "overrides": {k: v for k, v in sorted(self.study_overrides)},
-        }
-
-
-Payload = Union[
-    RegisterPrincipal,
-    CreatePlan,
-    GrantAccess,
-    RevokeAccess,
-    DataRequestRecorded,
-    AccessCompleted,
-    EmergencyAccess,
-    RegisterStudy,
-    ConsentInvited,
-    QuizAttemptRecorded,
-    ConsentSigned,
-    ConsentWithdrawn,
-    ProfilePublished,
-]
-
-_PAYLOAD_TYPES = {
-    cls.TAG: cls
-    for cls in (
-        RegisterPrincipal,
-        CreatePlan,
-        GrantAccess,
-        RevokeAccess,
-        DataRequestRecorded,
-        AccessCompleted,
-        EmergencyAccess,
-        RegisterStudy,
-        ConsentInvited,
-        QuizAttemptRecorded,
-        ConsentSigned,
-        ConsentWithdrawn,
-        ProfilePublished,
+        return {"kind": self.subject.kind.value, "id": self.subject.id, **super().audit_detail()}
+
+
+@_payload(2)
+class CreatePlan(Payload):
+    plan_id: str = wire(ID, audit="plan")
+    patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    member_orgs: frozenset[PrincipalId] = wire(SortedSet(PRINCIPAL), audit="orgs")
+    # (practitioner, org)
+    practitioners: frozenset[tuple[PrincipalId, PrincipalId]] = wire(
+        SortedSet(Pair(PRINCIPAL, PRINCIPAL)), audit=None
     )
-}
 
-ACTIONS = tuple(cls.ACTION for cls in _PAYLOAD_TYPES.values())
+    def audit_detail(self) -> dict:
+        pairs = sorted(f"{p.id}@{o.id}" for p, o in self.practitioners)
+        return {**super().audit_detail(), "practitioners": pairs}
+
+
+@_payload(3)
+class GrantAccess(Payload):
+    grant_id: str = wire(ID, audit="grant")
+    plan_id: str = wire(ID, audit="plan")
+    grantor: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    grantee: PrincipalId = wire(PRINCIPAL)
+    scope: frozenset[Category] = wire(SortedSet(CATEGORY))
+    valid_from: int = wire(U64, audit="from")
+    valid_until: int = wire(U64, audit="until")
+
+
+@_payload(4)
+class RevokeAccess(Payload):
+    grant_id: str = wire(ID, audit="grant")
+    patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+
+
+@_payload(5)
+class DataRequestRecorded(Payload):
+    requester: PrincipalId = wire(PRINCIPAL)
+    requester_org: PrincipalId = wire(PRINCIPAL)
+    sender_org: PrincipalId = wire(PRINCIPAL)
+    patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    category: Category = wire(CATEGORY)
+    emergency: bool = wire(BOOL)
+
+
+@_payload(6)
+class AccessCompleted(Payload):
+    request_tx: bytes = wire(HASH)
+    patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    verdict: str = wire(Str(32))  # allow | deny | allow_emergency
+    reason: str = wire(Str(32))
+    record_count: int = wire(U32, audit="records")
+
+
+@_payload(7)
+class EmergencyAccess(Payload):
+    request_tx: bytes = wire(HASH)  # zero hash when invoked outside the exchange protocol
+    requester: PrincipalId = wire(PRINCIPAL)
+    patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    category: Category = wire(CATEGORY)
+
+    def audit_detail(self) -> dict:
+        return {**super().audit_detail(), "emergency": True, "flagged_for_review": True}
+
+
+@_payload(8)
+class RegisterStudy(Payload):
+    study_id: str = wire(ID, audit="study")
+    quiz_hash: bytes = wire(HASH)
+    researchers: tuple[PrincipalId, ...] = wire(Seq(PRINCIPAL))
+    question_count: int = wire(U32, audit="questions")
+
+
+@_payload(9)
+class ConsentInvited(Payload):
+    study_id: str = wire(ID, audit="study")
+    participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+
+
+@_payload(10)
+class QuizAttemptRecorded(Payload):
+    study_id: str = wire(ID, audit="study")
+    participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    ordinal: int = wire(U32, audit="attempt")
+    mistakes: int = wire(U32)
+    passed: bool = wire(BOOL)
+
+
+@_payload(11)
+class ConsentSigned(Payload):
+    study_id: str = wire(ID, audit="study")
+    participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    quiz_hash: bytes = wire(HASH)
+    passing_attempt_tx: bytes = wire(HASH, audit="attempt_tx")
+    # participant key over study_id || quiz_hash || attempt tx
+    consent_signature: bytes = wire(SIGNATURE, audit=None)
+
+
+@_payload(12)
+class ConsentWithdrawn(Payload):
+    study_id: str = wire(ID, audit="study")
+    participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+
+
+@_payload(13)
+class ProfilePublished(Payload):
+    participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
+    commitments: frozenset[bytes] = wire(SortedSet(HASH))
+    discoverable: bool = wire(BOOL)
+    study_overrides: frozenset[tuple[str, bool]] = wire(SortedSet(Pair(ID, BOOL)), audit=None)
+
+    def audit_detail(self) -> dict:
+        return {**super().audit_detail(), "overrides": dict(sorted(self.study_overrides))}
+
+
+class _Tagged(Codec):
+    """A payload: its type's u8 tag, then its fields."""
+
+    def write(self, w: Writer, value: Payload) -> None:
+        w.u8(value.TAG)
+        value.WIRE.write(w, value)
+
+    def read(self, r: Reader) -> Payload:
+        tag = r.u8()
+        cls = _PAYLOAD_TYPES.get(tag)
+        if cls is None:
+            raise EncodingError(f"unknown payload tag {tag}")
+        return cls.WIRE.read(r)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +308,10 @@ ACTIONS = tuple(cls.ACTION for cls in _PAYLOAD_TYPES.values())
 
 @dataclass(frozen=True)
 class Transaction:
-    timestamp: int
-    author: PrincipalId
-    author_org: PrincipalId
-    payload: Payload
+    timestamp: int = wire(U64)
+    author: PrincipalId = wire(PRINCIPAL)
+    author_org: PrincipalId = wire(PRINCIPAL)
+    payload: Payload = wire(_Tagged())
     signature: Optional[bytes] = None
 
     @cached_property
@@ -651,39 +323,40 @@ class Transaction:
         return self.payload.ACTION
 
 
+_TX = Struct(Transaction)
+
+
 def canonical_encode(tx: Transaction) -> bytes:
     """Signature-less wire form: timestamp, author, author org, payload tag, payload."""
-    w = Writer()
-    w.u64(tx.timestamp)
-    write_principal(w, tx.author)
-    write_principal(w, tx.author_org)
-    w.u8(tx.payload.TAG)
-    tx.payload.encode(w)
-    return w.getvalue()
+    return _TX.encode(tx)
 
 
-def read_transaction(r: Reader, signature: Optional[bytes] = None) -> Transaction:
-    """Parse one transaction in-stream; the encoding is self-delimiting."""
-    timestamp = r.u64()
-    author = read_principal(r)
-    author_org = read_principal(r)
-    tag = r.u8()
-    cls = _PAYLOAD_TYPES.get(tag)
-    if cls is None:
-        raise EncodingError(f"unknown payload tag {tag}")
-    payload = cls.decode(r)
-    return Transaction(timestamp, author, author_org, payload, signature)
-
-
-def decode_transaction(data: bytes, signature: Optional[bytes] = None) -> Transaction:
-    r = Reader(data)
-    tx = read_transaction(r, signature)
-    r.expect_end()
-    return tx
+def decode_transaction(data: bytes) -> Transaction:
+    return _TX.decode(data)
 
 
 def tx_hash(tx: Transaction) -> bytes:
     return crypto.sha256(canonical_encode(tx))
+
+
+class _SignedTx(Codec):
+    """A transaction in a block record: its canonical encoding, then its
+    signature. Decoding is strict, so the exact bytes read re-encode to
+    themselves and their hash is the transaction id."""
+
+    def write(self, w: Writer, tx: Transaction) -> None:
+        if tx.signature is None:
+            raise ChainError("cannot persist an unsigned transaction")
+        _TX.write(w, tx)
+        SIGNATURE.write(w, tx.signature)
+
+    def read(self, r: Reader) -> Transaction:
+        start = r.pos
+        values = _TX.read_values(r)
+        tx_id = crypto.sha256(r.since(start))
+        tx = Transaction(*values, SIGNATURE.read(r))
+        tx.__dict__["tx_id"] = tx_id  # seeds the cached_property
+        return tx
 
 
 def sign_tx(tx: Transaction, private_key: bytes) -> Transaction:
@@ -728,17 +401,26 @@ def verify_tx(tx: Transaction, registry: dict[PrincipalId, bytes]) -> VerifyResu
 
 @dataclass(frozen=True)
 class Block:
-    height: int
-    prev_hash: bytes
-    timestamp: int
-    proposer: PrincipalId
-    tx_root: bytes
-    transactions: tuple[Transaction, ...]
-    endorsements: tuple[tuple[PrincipalId, bytes], ...] = ()
+    """As persisted: the header fields, then the signed transactions, then the
+    endorsements as (org, signature) sorted by org."""
+
+    height: int = wire(U64)
+    prev_hash: bytes = wire(HASH)
+    timestamp: int = wire(U64)
+    proposer: PrincipalId = wire(PRINCIPAL)
+    tx_root: bytes = wire(HASH)
+    transactions: tuple[Transaction, ...] = wire(Seq(_SignedTx()))
+    endorsements: tuple[tuple[PrincipalId, bytes], ...] = wire(
+        SortedSet(Pair(PRINCIPAL, SIGNATURE), into=tuple), default=()
+    )
 
     @cached_property
     def hash(self) -> bytes:
         return block_hash(self)
+
+
+_BLOCK = Struct(Block)
+_HEADER = Struct(Block, _BLOCK.fields[:5])  # everything before the transactions
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
@@ -746,13 +428,7 @@ def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
 
 
 def header_bytes(block: Block) -> bytes:
-    w = Writer()
-    w.u64(block.height)
-    w.raw(block.prev_hash, 32)
-    w.u64(block.timestamp)
-    write_principal(w, block.proposer)
-    w.raw(block.tx_root, 32)
-    return w.getvalue()
+    return _HEADER.encode(block)
 
 
 def block_hash(block: Block) -> bytes:
@@ -856,21 +532,6 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _registered_orgs_and_keys(
-    blocks: list[Block], upto: int
-) -> tuple[list[PrincipalId], dict[PrincipalId, bytes]]:
-    orgs: list[PrincipalId] = []
-    registry: dict[PrincipalId, bytes] = {}
-    for block in blocks[:upto]:
-        for tx in block.transactions:
-            p = tx.payload
-            if isinstance(p, RegisterPrincipal) and p.subject not in registry:
-                registry[p.subject] = p.public_key
-                if p.subject.kind is Kind.ORGANIZATION:
-                    orgs.append(p.subject)
-    return orgs, registry
 
 
 def validate_chain(
@@ -997,21 +658,6 @@ class AuditEntry:
         return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def audit_entries(ledger: LedgerState) -> Iterator[AuditEntry]:
-    for height, pos, tx in ledger.transactions():
-        yield AuditEntry(
-            tx_id=tx.tx_id,
-            height=height,
-            position=pos,
-            timestamp=tx.timestamp,
-            actor=tx.author,
-            actor_org=tx.author_org,
-            action=tx.action,
-            subject=tx.payload.audit_subject(),
-            detail=tx.payload.audit_detail(),
-        )
-
-
 def query_audit(
     ledger: LedgerState,
     subject: Optional[str] = None,
@@ -1028,18 +674,31 @@ def query_audit(
     if time_from is not None and time_to is not None and time_to < time_from:
         raise ValueError(f"time range end {time_to} before start {time_from}")
     out = []
-    for entry in audit_entries(ledger):
-        if subject is not None and entry.subject != subject:
+    for height, pos, tx in ledger.transactions():
+        tx_subject = tx.payload.audit_subject()
+        if subject is not None and tx_subject != subject:
             continue
-        if actor is not None and entry.actor.id != actor:
+        if actor is not None and tx.author.id != actor:
             continue
-        if action is not None and entry.action != action:
+        if action is not None and tx.action != action:
             continue
-        if time_from is not None and entry.timestamp < time_from:
+        if time_from is not None and tx.timestamp < time_from:
             continue
-        if time_to is not None and entry.timestamp > time_to:
+        if time_to is not None and tx.timestamp > time_to:
             continue
-        out.append(entry)
+        out.append(
+            AuditEntry(
+                tx_id=tx.tx_id,
+                height=height,
+                position=pos,
+                timestamp=tx.timestamp,
+                actor=tx.author,
+                actor_org=tx.author_org,
+                action=tx.action,
+                subject=tx_subject,
+                detail=tx.payload.audit_detail(),
+            )
+        )
     return out
 
 
@@ -1048,64 +707,14 @@ def query_audit(
 # ---------------------------------------------------------------------------
 
 
-def _encode_block_record(block: Block) -> bytes:
-    """Record layout: 8-byte BE record length, header encoding, 4-byte BE tx
-    count, per tx the canonical encoding immediately followed by its 64-byte
-    signature, then 4-byte BE endorsement count and (principal encoding +
-    64-byte signature) pairs. Transactions carry no length prefix; their
-    encoding is self-delimiting."""
-    w = Writer()
-    body = bytearray()
-    body += header_bytes(block)
-    body += len(block.transactions).to_bytes(4, "big")
-    for tx in block.transactions:
-        if tx.signature is None:
-            raise ChainError("cannot persist an unsigned transaction")
-        body += canonical_encode(tx)
-        body += tx.signature
-    body += len(block.endorsements).to_bytes(4, "big")
-    for org, sig in block.endorsements:
-        pw = Writer()
-        write_principal(pw, org)
-        body += pw.getvalue()
-        body += sig
-    w.u64(len(body))
-    return w.getvalue() + bytes(body)
-
-
 def write_ledger(ledger: LedgerState, path: str) -> None:
+    """Record layout: 8-byte BE record length, then the block's wire form
+    (see `Block`). Transactions carry no length prefix; their encoding is
+    self-delimiting."""
     with open(path, "wb") as fh:
         for block in ledger.blocks:
-            fh.write(_encode_block_record(block))
-
-
-def _decode_block_record(r: Reader) -> Block:
-    height = r.u64()
-    prev_hash = r.raw(32)
-    timestamp = r.u64()
-    proposer = read_principal(r)
-    tx_root = r.raw(32)
-    txs = []
-    for _ in range(r.u32()):
-        tx = read_transaction(r)
-        sig = r.raw(crypto.SIGNATURE_LEN)
-        txs.append(
-            Transaction(tx.timestamp, tx.author, tx.author_org, tx.payload, sig)
-        )
-    endorsements = []
-    for _ in range(r.u32()):
-        org = read_principal(r)
-        sig = r.raw(crypto.SIGNATURE_LEN)
-        endorsements.append((org, sig))
-    return Block(
-        height=height,
-        prev_hash=prev_hash,
-        timestamp=timestamp,
-        proposer=proposer,
-        tx_root=tx_root,
-        transactions=tuple(txs),
-        endorsements=tuple(endorsements),
-    )
+            body = _BLOCK.encode(block)
+            fh.write(len(body).to_bytes(8, "big") + body)
 
 
 def read_ledger(path: str) -> LedgerState:
@@ -1113,25 +722,21 @@ def read_ledger(path: str) -> LedgerState:
         data = fh.read()
     ledger = LedgerState()
     pos = 0
-    height = 0
     while pos < len(data):
+        height = len(ledger.blocks)
         if pos + 8 > len(data):
             raise ChainError("truncated record length")
-        rec_len = int.from_bytes(data[pos : pos + 8], "big")
-        pos += 8
-        if pos + rec_len > len(data):
+        end = pos + 8 + int.from_bytes(data[pos : pos + 8], "big")
+        if end > len(data):
             raise ChainError("truncated block record")
-        r = Reader(data[pos : pos + rec_len])
         try:
-            block = _decode_block_record(r)
-            r.expect_end()
+            block = _BLOCK.decode(data[pos + 8 : end])
         except EncodingError as exc:
             raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
-        pos += rec_len
         if block.height != height:
             raise ChainError(f"record {height} carries height {block.height}")
         ledger.append(block)
-        height += 1
+        pos = end
     if not ledger.blocks:
         raise ChainError("ledger file holds no blocks")
     return ledger

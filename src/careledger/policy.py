@@ -136,9 +136,6 @@ class PolicyState:
 
     # -- lookups -----------------------------------------------------------
 
-    def is_registered(self, kind: Kind, id: str) -> bool:
-        return PrincipalId(kind, id) in self.principals
-
     def registry(self) -> dict[PrincipalId, bytes]:
         return self.principals
 

@@ -299,12 +299,17 @@ class Simulation:
     def _latency(self) -> int:
         return self.rng.randint(self.config.latency_min, self.config.latency_max)
 
-    def _send(self, from_org: str, to_org: str, message: dict) -> None:
+    @staticmethod
+    def _msg_detail(from_org: str, to_org: str, message: dict) -> dict:
+        """Trace detail of a message, shared by its send and delivery events."""
         detail = {"from": from_org, "to": to_org, "type": message["type"]}
         if message["type"] == "match_response":
             detail["disclosed"] = sorted(message["disclosures"])
             detail["refused"] = message.get("refused", False)
-        self._trace("msg_sent", detail)
+        return detail
+
+    def _send(self, from_org: str, to_org: str, message: dict) -> None:
+        self._trace("msg_sent", self._msg_detail(from_org, to_org, message))
         self._schedule(self._latency(), "deliver", (from_org, to_org, message))
 
     # -- node state fold ------------------------------------------------------
@@ -522,11 +527,7 @@ class Simulation:
         if not node.online:
             node.parked.append((from_org, message))
             return
-        detail = {"from": from_org, "to": to_org, "type": message["type"]}
-        if message["type"] == "match_response":
-            detail["disclosed"] = sorted(message["disclosures"])
-            detail["refused"] = message.get("refused", False)
-        self._trace("msg_delivered", detail)
+        self._trace("msg_delivered", self._msg_detail(from_org, to_org, message))
         handler = getattr(self, "_on_" + message["type"])
         handler(node, from_org, message)
 

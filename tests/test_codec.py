@@ -1,6 +1,8 @@
 """Canonical encoding primitives: determinism, locality, bounds."""
 
+import hashlib
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +10,22 @@ from hypothesis import given, strategies as st
 from careledger.codec import Reader, Writer
 from careledger.errors import EncodingError
 from careledger.ledger import (
+    AccessCompleted,
     Category,
+    ConsentInvited,
+    ConsentSigned,
+    ConsentWithdrawn,
+    CreatePlan,
     DataRequestRecorded,
+    EmergencyAccess,
     GrantAccess,
     Kind,
     PrincipalId,
+    ProfilePublished,
     QuizAttemptRecorded,
     RegisterPrincipal,
+    RegisterStudy,
+    RevokeAccess,
     Transaction,
     canonical_encode,
     decode_transaction,
@@ -92,46 +103,99 @@ def test_timestamp_difference_is_local_to_timestamp_bytes():
     assert a[8:] == b[8:]
 
 
-def _random_tx(rng: random.Random) -> Transaction:
-    kind = rng.choice(["register", "request", "attempt", "grant"])
-    org = PrincipalId(Kind.ORGANIZATION, f"org{rng.randrange(10)}")
-    if kind == "register":
-        payload = RegisterPrincipal(
-            PrincipalId(Kind.PATIENT, f"p{rng.randrange(1000)}"),
-            rng.getrandbits(256).to_bytes(32, "big"),
-            None,
-            rng.getrandbits(256).to_bytes(32, "big") if rng.random() < 0.5 else None,
+def _principal(rng: random.Random, kind: Optional[Kind] = None) -> PrincipalId:
+    # Mixed kinds matter: a principal set sorts by the kind's value, which
+    # is not the order of the kind codes on the wire.
+    return PrincipalId(kind or rng.choice(list(Kind)), f"id{rng.randrange(30)}")
+
+
+def _digest(rng: random.Random, width: int = 32) -> bytes:
+    return rng.getrandbits(8 * width).to_bytes(width, "big")
+
+
+def _some(rng: random.Random, make) -> list:
+    """0, 1 or several results of make() (duplicates allowed: sets collapse them)."""
+    return [make() for _ in range(rng.choice([0, 1, rng.randint(2, 6)]))]
+
+
+def _random_payload(rng: random.Random):
+    study = f"study{rng.randrange(20)}"
+    kind = rng.randrange(13)
+    if kind == 0:
+        return RegisterPrincipal(
+            _principal(rng),
+            _digest(rng),
+            _principal(rng, Kind.ORGANIZATION) if rng.random() < 0.5 else None,
+            _digest(rng) if rng.random() < 0.5 else None,
         )
-        author = payload.subject
-    elif kind == "request":
-        author = PrincipalId(Kind.PRACTITIONER, f"w{rng.randrange(100)}")
-        payload = DataRequestRecorded(
-            author,
-            org,
-            PrincipalId(Kind.ORGANIZATION, f"org{rng.randrange(10)}"),
-            PrincipalId(Kind.PATIENT, f"p{rng.randrange(1000)}"),
-            rng.choice(list(Category)),
-            rng.random() < 0.2,
+    if kind == 1:
+        return CreatePlan(
+            f"plan{rng.randrange(100)}",
+            _principal(rng, Kind.PATIENT),
+            frozenset(_some(rng, lambda: _principal(rng))),
+            frozenset(_some(rng, lambda: (_principal(rng), _principal(rng)))),
         )
-    elif kind == "attempt":
-        author = PrincipalId(Kind.PARTICIPANT, f"q{rng.randrange(100)}")
-        payload = QuizAttemptRecorded(
-            f"study{rng.randrange(20)}", author, rng.randrange(1, 9), rng.randrange(6), rng.random() < 0.4
-        )
-    else:
-        author = PrincipalId(Kind.PATIENT, f"p{rng.randrange(1000)}")
-        scope = frozenset(rng.sample(list(Category), rng.randrange(1, 5)))
+    if kind == 2:
         start = rng.randrange(10**6)
-        payload = GrantAccess(
+        return GrantAccess(
             f"g{rng.randrange(10**4)}",
             f"plan{rng.randrange(100)}",
-            author,
-            PrincipalId(Kind.PRACTITIONER, f"w{rng.randrange(100)}"),
-            scope,
+            _principal(rng, Kind.PATIENT),
+            _principal(rng, Kind.PRACTITIONER),
+            frozenset(_some(rng, lambda: rng.choice(list(Category)))),
             start,
             start + 1 + rng.randrange(10**6),
         )
-    return Transaction(rng.randrange(2**40), author, org, payload)
+    if kind == 3:
+        return RevokeAccess(f"g{rng.randrange(10**4)}", _principal(rng, Kind.PATIENT))
+    if kind == 4:
+        return DataRequestRecorded(
+            _principal(rng, Kind.PRACTITIONER),
+            _principal(rng, Kind.ORGANIZATION),
+            _principal(rng, Kind.ORGANIZATION),
+            _principal(rng, Kind.PATIENT),
+            rng.choice(list(Category)),
+            rng.random() < 0.2,
+        )
+    if kind == 5:
+        return AccessCompleted(
+            _digest(rng),
+            _principal(rng, Kind.PATIENT),
+            rng.choice(["allow", "deny", "allow_emergency"]),
+            rng.choice(["ok", "no_grant", "outside_window"]),
+            rng.randrange(2**32),
+        )
+    if kind == 6:
+        return EmergencyAccess(
+            _digest(rng), _principal(rng), _principal(rng, Kind.PATIENT), rng.choice(list(Category))
+        )
+    if kind == 7:
+        researchers = tuple(_some(rng, lambda: _principal(rng, Kind.RESEARCHER)))
+        return RegisterStudy(study, _digest(rng), researchers, rng.randrange(1, 40))
+    if kind == 8:
+        return ConsentInvited(study, _principal(rng, Kind.PARTICIPANT))
+    if kind == 9:
+        return QuizAttemptRecorded(
+            study, _principal(rng, Kind.PARTICIPANT), rng.randrange(1, 9), rng.randrange(6), rng.random() < 0.4
+        )
+    if kind == 10:
+        return ConsentSigned(
+            study, _principal(rng, Kind.PARTICIPANT), _digest(rng), _digest(rng), _digest(rng, 64)
+        )
+    if kind == 11:
+        return ConsentWithdrawn(study, _principal(rng, Kind.PARTICIPANT))
+    return ProfilePublished(
+        _principal(rng, Kind.PARTICIPANT),
+        frozenset(_some(rng, lambda: _digest(rng))),
+        rng.random() < 0.5,
+        frozenset(_some(rng, lambda: (f"study{rng.randrange(5)}", rng.random() < 0.5))),
+    )
+
+
+def _random_tx(rng: random.Random) -> Transaction:
+    return Transaction(
+        rng.randrange(2**40), _principal(rng), _principal(rng, Kind.ORGANIZATION), _random_payload(rng)
+    )
 
 
 def test_encoding_is_repeatable_over_random_transactions():
@@ -146,14 +210,19 @@ def test_encoding_is_repeatable_over_random_transactions():
 
 def test_decode_inverts_encode_over_random_transactions():
     rng = random.Random(99)
+    actions = set()
     for _ in range(300):
         tx = _random_tx(rng)
-        decoded = decode_transaction(canonical_encode(tx))
+        encoding = canonical_encode(tx)
+        decoded = decode_transaction(encoding)
         assert decoded.timestamp == tx.timestamp
         assert decoded.author == tx.author
         assert decoded.author_org == tx.author_org
         assert decoded.payload == tx.payload
-        assert canonical_encode(decoded) == canonical_encode(tx)
+        assert canonical_encode(decoded) == encoding
+        assert decoded.tx_id == hashlib.sha256(encoding).digest()
+        actions.add(decoded.action)
+    assert len(actions) == 13
 
 
 def test_principal_id_bounds():

@@ -1,20 +1,25 @@
 """Hashing, signing, block construction, chain validation, audit, persistence."""
 
 import hashlib
+import json
 import random
 import struct
 
 import pytest
 
 from careledger import crypto
+from careledger.cli import main
 from careledger.errors import ChainError
 from careledger.ledger import (
     Block,
     Category,
+    CreatePlan,
     DataRequestRecorded,
+    GrantAccess,
     Kind,
     LedgerState,
     PrincipalId,
+    ProfilePublished,
     RegisterPrincipal,
     Transaction,
     ZERO_HASH,
@@ -34,7 +39,7 @@ from careledger.ledger import (
 )
 from careledger.simnet import SimConfig, spawn_network
 
-from conftest import build_care_sim
+from conftest import FIXTURES, build_care_sim
 
 # Computed once by a standalone reference script (manual struct packing and
 # hashlib only); the hand-built encoding below re-derives it in-test.
@@ -58,18 +63,21 @@ def fixture_tx() -> Transaction:
     )
 
 
+# Hand-built encodings: written from the documented layout, without the codec.
+def u32(n):
+    return struct.pack(">I", n)
+
+
+def s(text):
+    raw = text.encode()
+    return u32(len(raw)) + raw
+
+
+def principal(code, pid):
+    return bytes([code]) + s(pid)
+
+
 def hand_built_fixture_encoding() -> bytes:
-    # Built field by field from the documented layout, without the codec.
-    def u32(n):
-        return struct.pack(">I", n)
-
-    def s(text):
-        raw = text.encode()
-        return u32(len(raw)) + raw
-
-    def principal(code, pid):
-        return bytes([code]) + s(pid)
-
     return b"".join(
         [
             struct.pack(">Q", 1000),
@@ -443,3 +451,168 @@ class TestPersistence:
                 "tx_id", "height", "timestamp", "actor", "actor_org",
                 "action", "subject", "detail",
             }
+
+
+# Fixtures that together commit all 13 payload types, run at seed 42. Every
+# org's persisted ledger and its `careledger audit` output are pinned byte
+# for byte (all orgs of a fixture hold the same chain): a change to the wire
+# format or to the audit view shows here.
+GOLDEN = {
+    "case1": (
+        "c78a24669d4a2d778c703452d9568bcd2e3303dc7f4e90ec2d864fe47817ac32",
+        "5dc420d4e9bfe16f7a8fd8a3dbed554bda5b667edddba7bbae6f4647868beb54",
+    ),
+    "case1_emergency": (
+        "d939f1b3e9ffdc7e6fce37ee581b30adacc724f014f835c11d974151d60e15be",
+        "1cb21aef46a192e65410d34fec5c56a3ca04cee4b52f74c7ce9add57910d9fd9",
+    ),
+    "case2": (
+        "f65f272d210b276c30ab268c037b32bba320974e915284b60e50f014922301ec",
+        "2f1b01e732b207e9d003cf786ef891201bfa6eae0fc1f3da06e59bbdaef4a741",
+    ),
+    "case2_match": (
+        "6372d6efce81ebcff53b33f1a3f3953358049f38a98dff0c971c1b832e476b39",
+        "8f667076fdef1bdcdb6c325139e1e844a9d6ef7f3027f7b9bc82b0872ac2709e",
+    ),
+    "shred": (
+        "8d85c2a6c3b1092b12bef327061a90a50f95d4cff49b8eb3e4226b4f396051a0",
+        "2ce5fc41e3fbc8eeb9fc9ad751f33ca182f89be3fabfdd478be98489a88a0982",
+    ),
+    "membership": (
+        "e27e0f1bd1b1f383452234fd9eee29ac3a62c2fe694854222db4688aa70ad0ab",
+        "459ca441a507c043c8af3767296d7b3969e2824399c8fd2e72a052709ed6ff31",
+    ),
+}
+
+ALL_ACTIONS = {
+    "RegisterPrincipal", "CreatePlan", "GrantAccess", "RevokeAccess",
+    "DataRequestRecorded", "AccessCompleted", "EmergencyAccess", "RegisterStudy",
+    "ConsentInvited", "QuizAttemptRecorded", "ConsentSigned", "ConsentWithdrawn",
+    "ProfilePublished",
+}
+
+
+class TestGoldenPins:
+    def test_fixture_ledgers_and_audit_output_are_pinned(self, tmp_path, capsys):
+        actions = set()
+        for name, (ledger_digest, audit_digest) in GOLDEN.items():
+            out = tmp_path / name
+            assert main(["run", str(FIXTURES / f"{name}.scn"), "--seed", "42", "--out", str(out)]) == 0
+            capsys.readouterr()
+            ledgers = sorted(out.glob("*.ledger"))
+            assert ledgers, name
+            for path in ledgers:
+                assert main(["audit", str(path)]) == 0
+                audit = capsys.readouterr().out
+                actions |= {json.loads(line)["action"] for line in audit.splitlines()}
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == ledger_digest, path
+                assert hashlib.sha256(audit.encode()).hexdigest() == audit_digest, path
+        assert actions == ALL_ACTIONS
+
+
+def _record_spans(data: bytes) -> list[tuple[int, int]]:
+    """(start, end) of each length-prefixed block record in a ledger file."""
+    spans, pos = [], 0
+    while pos < len(data):
+        end = pos + 8 + int.from_bytes(data[pos : pos + 8], "big")
+        spans.append((pos, end))
+        pos = end
+    return spans
+
+
+def _splice(data: bytes, at: int, old: bytes, new: bytes) -> bytes:
+    """Replace `old` at offset `at` and rewrite the enclosing record's length."""
+    assert data[at : at + len(old)] == old
+    start, end = next((a, b) for a, b in _record_spans(data) if a + 8 <= at < b)
+    body = data[start + 8 : at] + new + data[at + len(old) : end]
+    return data[:start] + len(body).to_bytes(8, "big") + body + data[end:]
+
+
+def _set_in_tx(data, ledger, payload_type, members_of):
+    """Offset and canonical member encodings of a set field of the first
+    committed `payload_type` transaction."""
+    tx = next(t for _, _, t in ledger.transactions() if isinstance(t.payload, payload_type))
+    members = members_of(tx.payload)
+    encoding = canonical_encode(tx)
+    segment = u32(len(members)) + b"".join(members)
+    assert data.count(encoding) == 1 and encoding.count(segment) == 1
+    return data.find(encoding) + encoding.find(segment), members
+
+
+def _scope(data, ledger):
+    codes = {Category.VITALS: 0, Category.MEDICATION: 1, Category.NOTES: 2, Category.TREATMENTS: 3}
+    return _set_in_tx(
+        data, ledger, GrantAccess, lambda p: [bytes([c]) for c in sorted(codes[x] for x in p.scope)]
+    )
+
+
+def _member_orgs(data, ledger):
+    return _set_in_tx(
+        data, ledger, CreatePlan, lambda p: [principal(0, o.id) for o in sorted(p.member_orgs)]
+    )
+
+
+def _practitioners(data, ledger):
+    return _set_in_tx(
+        data,
+        ledger,
+        CreatePlan,
+        lambda p: [principal(1, w.id) + principal(0, o.id) for w, o in sorted(p.practitioners)],
+    )
+
+
+def _commitments(data, ledger):
+    return _set_in_tx(data, ledger, ProfilePublished, lambda p: sorted(p.commitments))
+
+
+def _study_overrides(data, ledger):
+    return _set_in_tx(
+        data,
+        ledger,
+        ProfilePublished,
+        lambda p: [s(k) + bytes([v]) for k, v in sorted(p.study_overrides)],
+    )
+
+
+def _endorsements(data, ledger):
+    block = ledger.blocks[2]
+    members = [principal(0, org.id) + sig for org, sig in sorted(block.endorsements)]
+    end = _record_spans(data)[2][1]
+    return end - 4 - sum(map(len, members)), members
+
+
+class TestCanonicalForm:
+    """A set-valued field has exactly one valid byte form: members sorted and
+    unique. Any other order, or a repeated member, makes the file unreadable."""
+
+    @pytest.fixture(scope="class")
+    def persisted(self, tmp_path_factory):
+        sim = build_care_sim()
+        sim.register_person(Kind.PARTICIPANT, "part1")
+        sim.settle()
+        sim.publish_profile("part1", ["biobank:a", "registry:b"], True, {"s1": True, "s2": False})
+        sim.settle()
+        ledger = sim.nodes["hospital"].ledger
+        path = tmp_path_factory.mktemp("canonical") / "chain.ledger"
+        write_ledger(ledger, str(path))
+        return path.read_bytes(), ledger
+
+    @pytest.mark.parametrize("form", ["unsorted", "duplicate"])
+    @pytest.mark.parametrize(
+        "locate",
+        [_scope, _member_orgs, _practitioners, _commitments, _study_overrides, _endorsements],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_non_canonical_set_rejected(self, persisted, locate, form, tmp_path):
+        data, ledger = persisted
+        at, members = locate(data, ledger)
+        assert len(members) >= 2
+        altered = members[::-1] if form == "unsorted" else [members[0]] * len(members)
+        mutated = _splice(
+            data, at, u32(len(members)) + b"".join(members), u32(len(members)) + b"".join(altered)
+        )
+        assert mutated != data
+        path = tmp_path / "mutated.ledger"
+        path.write_bytes(mutated)
+        with pytest.raises(ChainError):
+            read_ledger(str(path))
