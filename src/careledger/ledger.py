@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -360,8 +360,9 @@ class _SignedTx(Codec):
 
 
 def sign_tx(tx: Transaction, private_key: bytes) -> Transaction:
-    sig = crypto.sign(private_key, tx.tx_id)
-    return Transaction(tx.timestamp, tx.author, tx.author_org, tx.payload, sig)
+    signed = replace(tx, signature=crypto.sign(private_key, tx.tx_id))
+    signed.__dict__["tx_id"] = tx.tx_id  # seeds the cached_property
+    return signed
 
 
 @dataclass(frozen=True)
@@ -443,19 +444,8 @@ def build_block(
     timestamp: int,
     registry: dict[PrincipalId, bytes],
 ) -> Block:
-    if not pending:
-        raise ChainError("cannot build an empty block")
-    reg = dict(registry)
-    for tx in pending:
-        result = verify_tx(tx, reg)
-        if not result:
-            raise ChainError(
-                f"invalid transaction {tx.tx_id.hex()} in pending set: {result.reason}"
-            )
-        if isinstance(tx.payload, RegisterPrincipal):
-            reg.setdefault(tx.payload.subject, tx.payload.public_key)
     txs = tuple(pending)
-    return Block(
+    block = Block(
         height=prev.height + 1,
         prev_hash=prev.hash,
         timestamp=timestamp,
@@ -463,6 +453,10 @@ def build_block(
         tx_root=compute_tx_root(txs),
         transactions=txs,
     )
+    violation = check_proposal(prev, block, registry)
+    if violation is not None:
+        raise ChainError(f"cannot build block: {violation}")
+    return block
 
 
 def endorse_block(block: Block, private_key: bytes) -> bytes:
@@ -534,96 +528,111 @@ class ValidationReport:
         return self.ok
 
 
-def validate_chain(
-    ledger: LedgerState,
-    trusted_keys: Optional[dict[PrincipalId, bytes]] = None,
-) -> ValidationReport:
-    """Walk the chain from genesis; stop at the first broken rule.
+def _fold_registrations(
+    block: Block, registry: dict[PrincipalId, bytes], members: list[PrincipalId]
+) -> None:
+    """Add the block's registrations to `registry` (the first key on file
+    wins) and its newly registered organizations to `members`."""
+    for tx in block.transactions:
+        p = tx.payload
+        if isinstance(p, RegisterPrincipal) and p.subject not in registry:
+            registry[p.subject] = p.public_key
+            if p.subject.kind is Kind.ORGANIZATION and p.subject not in members:
+                members.append(p.subject)
+
+
+def check_proposal(
+    prev: Optional[Block], block: Block, registry: dict[PrincipalId, bytes]
+) -> Optional[Violation]:
+    """The rules a block must meet before anyone endorses it: it extends
+    `prev` (genesis when None), its tx root recomputes, it is not empty, and
+    every transaction verifies against `registry` plus the keys registered
+    earlier in the same block. `registry` is not modified."""
+    height = 0 if prev is None else prev.height + 1
+    if block.height != height:
+        return Violation(height, "height", f"expected height {height}, block says {block.height}")
+    if prev is None:
+        if block.prev_hash != ZERO_HASH:
+            return Violation(height, "prev_hash", "genesis prev_hash must be 32 zero bytes")
+    elif block.prev_hash != prev.hash:
+        return Violation(height, "prev_hash", "does not match hash of previous block")
+    if block.tx_root != compute_tx_root(block.transactions):
+        return Violation(height, "tx_root", "root does not recompute from transactions")
+    if not block.transactions:
+        return Violation(height, "empty_block", "block carries no transactions")
+    keys = registry
+    for pos, tx in enumerate(block.transactions):
+        result = verify_tx(tx, keys)
+        if not result:
+            return Violation(height, "tx_signature", f"tx #{pos} ({tx.tx_id.hex()}): {result.reason}")
+        p = tx.payload
+        if isinstance(p, RegisterPrincipal) and p.subject not in keys:
+            if keys is registry:
+                keys = dict(registry)
+            keys[p.subject] = p.public_key
+    return None
+
+
+def check_block(
+    prev: Optional[Block],
+    block: Block,
+    registry: dict[PrincipalId, bytes],
+    members: list[PrincipalId],
+) -> Optional[Violation]:
+    """The rules a block must meet to be committed after `prev`.
+
+    `registry` and `members` are the keys and member organizations in force
+    before the block; genesis is measured against its own registrations
+    instead. On top of `check_proposal`: the proposer is a member, every
+    listed endorsement comes from a distinct member and verifies (a single
+    bad one is a violation even when the quorum margin would absorb it), and
+    there are at least a quorum of them.
+    """
+    violation = check_proposal(prev, block, registry)
+    if violation is not None:
+        return violation
+    height = block.height
+    if prev is None:
+        registry, members = {}, []
+        _fold_registrations(block, registry, members)
+    if block.proposer not in members:
+        return Violation(height, "proposer", f"{block.proposer} not a member organization")
+    seen: set[PrincipalId] = set()
+    digest = block.hash
+    for org, sig in block.endorsements:
+        if org not in members:
+            return Violation(height, "endorsement", f"{org} not a member organization")
+        if org in seen:
+            return Violation(height, "endorsement", f"duplicate endorsement from {org}")
+        seen.add(org)
+        key = registry.get(org)
+        if key is None or not crypto.verify(key, sig, digest):
+            return Violation(height, "endorsement", f"signature from {org} does not verify")
+    needed = quorum(len(members))
+    if len(seen) < needed:
+        return Violation(
+            height, "quorum", f"{len(seen)} endorsements, quorum is {needed} of {len(members)}"
+        )
+    return None
+
+
+def validate_chain(ledger: LedgerState) -> ValidationReport:
+    """Walk the chain from genesis; stop at the first block that fails
+    `check_block`.
 
     Membership and keys are folded from the chain itself: an organization
     registered at height h counts toward the quorum denominator from height
-    h+1. Genesis is measured against its own registrations. Every listed
-    endorsement must verify; a single bad one is a violation even when the
-    quorum margin would absorb it.
+    h+1.
     """
-    registry: dict[PrincipalId, bytes] = dict(trusted_keys or {})
-    member_orgs: list[PrincipalId] = []
-
-    def fail(height: int, rule: str, message: str) -> ValidationReport:
-        return ValidationReport(False, Violation(height, rule, message))
-
-    for i, block in enumerate(ledger.blocks):
-        if block.height != i:
-            return fail(i, "height", f"expected height {i}, block says {block.height}")
-        if i == 0:
-            if block.prev_hash != ZERO_HASH:
-                return fail(0, "prev_hash", "genesis prev_hash must be 32 zero bytes")
-        else:
-            if block.prev_hash != ledger.blocks[i - 1].hash:
-                return fail(i, "prev_hash", "does not match hash of previous block")
-        if block.tx_root != compute_tx_root(block.transactions):
-            return fail(i, "tx_root", "root does not recompute from transactions")
-        if not block.transactions:
-            return fail(i, "empty_block", "block carries no transactions")
-
-        block_registry = dict(registry)
-        for pos, tx in enumerate(block.transactions):
-            result = verify_tx(tx, block_registry)
-            if not result:
-                return fail(
-                    i, "tx_signature", f"tx #{pos} ({tx.tx_id.hex()[:16]}): {result.reason}"
-                )
-            p = tx.payload
-            if isinstance(p, RegisterPrincipal) and p.subject not in block_registry:
-                block_registry[p.subject] = p.public_key
-
-        # Membership in force: orgs registered strictly before this height,
-        # except genesis which is measured against its own registrations.
-        if i == 0:
-            eligible = []
-            for tx in block.transactions:
-                p = tx.payload
-                if (
-                    isinstance(p, RegisterPrincipal)
-                    and p.subject.kind is Kind.ORGANIZATION
-                    and p.subject not in eligible
-                ):
-                    eligible.append(p.subject)
-            endorse_registry = block_registry
-        else:
-            eligible = list(member_orgs)
-            endorse_registry = registry
-        needed = quorum(len(eligible))
-        if block.proposer not in eligible:
-            return fail(i, "proposer", f"{block.proposer} not a member organization")
-        seen: set[PrincipalId] = set()
-        digest = block.hash
-        for org, sig in block.endorsements:
-            if org not in eligible:
-                return fail(i, "endorsement", f"{org} not a member organization")
-            if org in seen:
-                return fail(i, "endorsement", f"duplicate endorsement from {org}")
-            seen.add(org)
-            key = endorse_registry.get(org)
-            if key is None or not crypto.verify(key, sig, digest):
-                return fail(i, "endorsement", f"signature from {org} does not verify")
-        if len(seen) < needed:
-            return fail(
-                i,
-                "quorum",
-                f"{len(seen)} endorsements, quorum is {needed} of {len(eligible)}",
-            )
-
-        registry = block_registry
-        for tx in block.transactions:
-            p = tx.payload
-            if (
-                isinstance(p, RegisterPrincipal)
-                and p.subject.kind is Kind.ORGANIZATION
-                and p.subject not in member_orgs
-            ):
-                member_orgs.append(p.subject)
-
+    registry: dict[PrincipalId, bytes] = {}
+    members: list[PrincipalId] = []
+    prev: Optional[Block] = None
+    for block in ledger.blocks:
+        violation = check_block(prev, block, registry, members)
+        if violation is not None:
+            return ValidationReport(False, violation)
+        _fold_registrations(block, registry, members)
+        prev = block
     return ValidationReport(True)
 
 

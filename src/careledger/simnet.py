@@ -11,7 +11,8 @@ h-th member organization round-robin (offline proposers are skipped), every
 online member endorses the header digest, and the block commits once
 floor(2n/3)+1 endorsements are collected. Rounds that cannot reach quorum
 abort and leave their transactions pending; returning nodes replay missed
-blocks from a peer before taking new messages.
+blocks from a peer before taking new messages, checking each one as a commit
+is checked and stopping at the first that fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import copy
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import consent as consent_mod
@@ -42,6 +43,8 @@ from .ledger import (
     Transaction,
     ZERO_HASH,
     build_block,
+    check_block,
+    check_proposal,
     compute_tx_root,
     endorse_block,
     quorum,
@@ -125,8 +128,8 @@ class Node:
     consent: ConsentState = field(default_factory=ConsentState)
     store: OffChainStore = None  # type: ignore[assignment]
     sessions: dict[str, Session] = field(default_factory=dict)
-    mempool: list[Transaction] = field(default_factory=list)
-    mempool_ids: set[bytes] = field(default_factory=set)
+    # Pending transactions by id, in arrival order.
+    mempool: dict[bytes, Transaction] = field(default_factory=dict)
     parked: list[tuple[str, dict]] = field(default_factory=list)
     deferred_requests: list[bytes] = field(default_factory=list)
     # Off-chain agent data for principals hosted at this node.
@@ -246,15 +249,7 @@ class Simulation:
             principal = PrincipalId(Kind.ORGANIZATION, name)
             endorsements.append((principal, endorse_block(genesis, self.private_keys[principal])))
             self._trace("block_endorsed", {"height": 0, "org": name})
-        genesis = Block(
-            height=0,
-            prev_hash=ZERO_HASH,
-            timestamp=0,
-            proposer=genesis.proposer,
-            tx_root=genesis.tx_root,
-            transactions=txs,
-            endorsements=tuple(sorted(endorsements, key=lambda e: e[0].id)),
-        )
+        genesis = replace(genesis, endorsements=tuple(sorted(endorsements, key=lambda e: e[0].id)))
         for name in orgs:
             self._node_apply_block(self.nodes[name], genesis)
 
@@ -319,9 +314,7 @@ class Simulation:
         for pos, tx in enumerate(block.transactions):
             node.policy.apply(tx, block.height, pos)
             node.consent.apply(tx, block.height, pos)
-            if tx.tx_id in node.mempool_ids:
-                node.mempool_ids.discard(tx.tx_id)
-                node.mempool = [t for t in node.mempool if t.tx_id != tx.tx_id]
+            node.mempool.pop(tx.tx_id, None)
         detail = {"height": block.height, "org": node.org.id, "hash": block.hash.hex()}
         if sync:
             detail["sync"] = True
@@ -361,8 +354,23 @@ class Simulation:
             fresh.store.vault[patient] = VaultRow(row.salt, row.true_id)
         self.nodes[org.id] = fresh
         for block in source.ledger.blocks:
+            if not self._replayable(fresh, source, block):
+                break
             self._node_apply_block(fresh, block, sync=True)
         self._trace("node_up", {"org": org.id, "provisioned": True})
+
+    def _replayable(self, node: Node, source: Node, block: Block) -> bool:
+        """Check a block `node` replays from `source`'s chain as a commit is
+        checked; trace the drop when it fails."""
+        prev = node.ledger.blocks[-1] if node.ledger.blocks else None
+        violation = check_block(prev, block, node.policy.registry(), node.policy.quorum_members())
+        if violation is None:
+            return True
+        self._trace(
+            "msg_delivered",
+            {"to": node.org.id, "from": source.org.id, "type": "sync", "dropped": violation.rule},
+        )
+        return False
 
     # -- consensus ------------------------------------------------------------
 
@@ -424,7 +432,7 @@ class Simulation:
             self._maybe_schedule_attempt()
             return
         block = build_block(
-            proposer.mempool,
+            list(proposer.mempool.values()),
             proposer.ledger.tip(),
             proposer.org,
             self.clock,
@@ -488,15 +496,7 @@ class Simulation:
             (PrincipalId(Kind.ORGANIZATION, org), sig)
             for org, sig in sorted(state.endorsements.items())
         )
-        final = Block(
-            height=state.block.height,
-            prev_hash=state.block.prev_hash,
-            timestamp=state.block.timestamp,
-            proposer=state.block.proposer,
-            tx_root=state.block.tx_root,
-            transactions=state.block.transactions,
-            endorsements=endorsements,
-        )
+        final = replace(state.block, endorsements=endorsements)
         self.last_committed = final
         proposer = self.nodes[state.proposer]
         members = [m.id for m in proposer.policy.quorum_members()]
@@ -533,7 +533,7 @@ class Simulation:
 
     def _on_tx(self, node: Node, from_org: str, message: dict) -> None:
         tx: Transaction = message["tx"]
-        if tx.tx_id in node.mempool_ids or tx.tx_id in node.ledger.height_index:
+        if tx.tx_id in node.mempool or tx.tx_id in node.ledger.height_index:
             return
         if not verify_tx(tx, node.policy.registry()):
             self._trace(
@@ -541,8 +541,7 @@ class Simulation:
                 {"to": node.org.id, "type": "tx", "dropped": "signature", "tx": tx.tx_id.hex()},
             )
             return
-        node.mempool.append(tx)
-        node.mempool_ids.add(tx.tx_id)
+        node.mempool[tx.tx_id] = tx
         self._maybe_schedule_attempt()
 
     def _on_propose(self, node: Node, from_org: str, message: dict) -> None:
@@ -556,18 +555,8 @@ class Simulation:
                 {"to": node.org.id, "type": "propose", "dropped": "signature"},
             )
             return
-        if block.height != node.ledger.height + 1:
+        if check_proposal(node.ledger.tip(), block, node.policy.registry()) is not None:
             return
-        if block.prev_hash != node.ledger.tip().hash:
-            return
-        if block.tx_root != compute_tx_root(block.transactions):
-            return
-        registry = dict(node.policy.registry())
-        for tx in block.transactions:
-            if not verify_tx(tx, registry):
-                return
-            if isinstance(tx.payload, RegisterPrincipal):
-                registry.setdefault(tx.payload.subject, tx.payload.public_key)
         self._trace("block_endorsed", {"height": block.height, "org": node.org.id})
         self._send(
             node.org.id,
@@ -617,29 +606,13 @@ class Simulation:
                 return
             if block.height != node.ledger.height + 1:
                 return
-        members = node.policy.quorum_members()
-        needed = quorum(len(members))
-        member_ids = {m.id for m in members}
-        digest = block.hash
-        seen = set()
-        for org, sig in block.endorsements:
-            key = node.policy.registry().get(org)
-            if (
-                org.id not in member_ids
-                or org.id in seen
-                or key is None
-                or not crypto.verify(key, sig, digest)
-            ):
-                self._trace(
-                    "msg_delivered",
-                    {"to": node.org.id, "type": "commit", "dropped": "endorsement"},
-                )
-                return
-            seen.add(org.id)
-        if len(seen) < needed:
+        violation = check_block(
+            node.ledger.tip(), block, node.policy.registry(), node.policy.quorum_members()
+        )
+        if violation is not None:
             self._trace(
                 "msg_delivered",
-                {"to": node.org.id, "type": "commit", "dropped": "quorum"},
+                {"to": node.org.id, "type": "commit", "dropped": violation.rule},
             )
             return
         self._on_block_committed(node, block)
@@ -661,8 +634,7 @@ class Simulation:
         self._trace(
             "tx_submitted", {"org": via.org.id, "action": tx.action, "tx": tx.tx_id.hex()}
         )
-        via.mempool.append(tx)
-        via.mempool_ids.add(tx.tx_id)
+        via.mempool[tx.tx_id] = tx
         for name in self.nodes:
             if name != via.org.id:
                 self._send(via.org.id, name, {"type": "tx", "tx": tx})
@@ -1166,6 +1138,8 @@ class Simulation:
         if best is None:
             return
         for block in best.ledger.blocks[node.ledger.height + 1 :]:
+            if not self._replayable(node, best, block):
+                return
             self._on_block_committed(node, block, sync=True)
 
     # -- invariants and snapshots ---------------------------------------------

@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from careledger import crypto
+from careledger import ledger as ledger_mod
 from careledger.cli import main
 from careledger.errors import ChainError
 from careledger.ledger import (
@@ -146,6 +147,14 @@ class TestSignatures:
         result = verify_tx(tx, {})
         assert not result
         assert result.reason == "unknown_author"
+
+    def test_signing_encodes_the_tx_once(self, monkeypatch):
+        encoded = []
+        real = ledger_mod.canonical_encode
+        monkeypatch.setattr(ledger_mod, "canonical_encode", lambda tx: encoded.append(tx) or real(tx))
+        tx = sign_tx(fixture_tx(), self.private)
+        assert tx.tx_id.hex() == FIXTURE_TX_DIGEST
+        assert len(encoded) == 1
 
     def test_unsigned_rejected(self):
         result = verify_tx(fixture_tx(), self.registry)
@@ -453,34 +462,46 @@ class TestPersistence:
             }
 
 
-# Fixtures that together commit all 13 payload types, run at seed 42. Every
-# org's persisted ledger and its `careledger audit` output are pinned byte
-# for byte (all orgs of a fixture hold the same chain): a change to the wire
-# format or to the audit view shows here.
+# Fixtures that together commit all 13 payload types, plus case1_fault (a
+# node down and back, so a catch-up replay), run at seed 42. Every org's
+# persisted ledger, its `careledger audit` output and the run's trace.tsv are
+# pinned byte for byte (all orgs of a fixture hold the same chain): a change
+# to the wire format, the audit view or the simulated protocol shows here.
 GOLDEN = {
     "case1": (
         "c78a24669d4a2d778c703452d9568bcd2e3303dc7f4e90ec2d864fe47817ac32",
         "5dc420d4e9bfe16f7a8fd8a3dbed554bda5b667edddba7bbae6f4647868beb54",
+        "8f5db6ff8da7519e28f7993cbf80ce487f89828e8365c3e5e88f9332943196a3",
     ),
     "case1_emergency": (
         "d939f1b3e9ffdc7e6fce37ee581b30adacc724f014f835c11d974151d60e15be",
         "1cb21aef46a192e65410d34fec5c56a3ca04cee4b52f74c7ce9add57910d9fd9",
+        "572c7d68208c61b5048ae8dcb4c4b9b7d6deb23daec00d74d8aea567b6178a37",
+    ),
+    "case1_fault": (
+        "3df143b0f23311dcfd426e86808b909064f512b6b9cfad66b52f12640d65cfc3",
+        "76ed19c97bf005369351db5a3c04b16c77a42b02cb21c157b696e1a0be0023cd",
+        "974deed0b73d06d4acf7d1064a17095474ccb1b85873fb752668b2cd581b620d",
     ),
     "case2": (
         "f65f272d210b276c30ab268c037b32bba320974e915284b60e50f014922301ec",
         "2f1b01e732b207e9d003cf786ef891201bfa6eae0fc1f3da06e59bbdaef4a741",
+        "37f5a4a437aada6a52dce64bb20f57ac43313e1c5439a356dca389607a5bc500",
     ),
     "case2_match": (
         "6372d6efce81ebcff53b33f1a3f3953358049f38a98dff0c971c1b832e476b39",
         "8f667076fdef1bdcdb6c325139e1e844a9d6ef7f3027f7b9bc82b0872ac2709e",
+        "b221c830350d7703762221eecd8f257fdc87a99e360219a5ec3f835375aac9c8",
     ),
     "shred": (
         "8d85c2a6c3b1092b12bef327061a90a50f95d4cff49b8eb3e4226b4f396051a0",
         "2ce5fc41e3fbc8eeb9fc9ad751f33ca182f89be3fabfdd478be98489a88a0982",
+        "55c02f6723dbed2aee1688453f64b53cb6b6a6274e1746194a9c463eb9be9a48",
     ),
     "membership": (
         "e27e0f1bd1b1f383452234fd9eee29ac3a62c2fe694854222db4688aa70ad0ab",
         "459ca441a507c043c8af3767296d7b3969e2824399c8fd2e72a052709ed6ff31",
+        "124ec9a19f6f3dc194b74dc60205ddb70d91d4e8e297abaf770abb98089524a5",
     ),
 }
 
@@ -495,10 +516,12 @@ ALL_ACTIONS = {
 class TestGoldenPins:
     def test_fixture_ledgers_and_audit_output_are_pinned(self, tmp_path, capsys):
         actions = set()
-        for name, (ledger_digest, audit_digest) in GOLDEN.items():
+        for name, (ledger_digest, audit_digest, trace_digest) in GOLDEN.items():
             out = tmp_path / name
             assert main(["run", str(FIXTURES / f"{name}.scn"), "--seed", "42", "--out", str(out)]) == 0
             capsys.readouterr()
+            trace = (out / "trace.tsv").read_bytes()
+            assert hashlib.sha256(trace).hexdigest() == trace_digest, name
             ledgers = sorted(out.glob("*.ledger"))
             assert ledgers, name
             for path in ledgers:

@@ -1,5 +1,7 @@
 """Network bootstrap, consensus rounds, fault injection, scenario runs."""
 
+from dataclasses import replace
+
 import pytest
 
 from careledger.errors import ScriptError, SimError
@@ -280,6 +282,67 @@ class TestForgeryResistance:
         # The chain still commits correctly with honest endorsements.
         assert sim.nodes["a"].ledger.height == 1
         assert validate_chain(sim.nodes["a"].ledger).ok
+
+    @pytest.mark.parametrize(
+        "forge, rule",
+        [
+            (lambda e: ((e[0][0], bytes(64)),) + e[1:], "endorsement"),
+            (lambda e: e[: quorum(4) - 1], "quorum"),
+        ],
+    )
+    def test_commit_with_bad_endorsements_dropped_by_rule(self, forge, rule):
+        sim = spawn_network(["a", "b", "c", "d"], SimConfig(seed=3))
+        sim.register_person(Kind.PATIENT, "p1")
+        settled = sim.fork()
+        settled.settle()
+        block = settled.nodes["a"].ledger.blocks[1]
+        assert len(block.endorsements) >= quorum(4)
+        forged = replace(block, endorsements=forge(block.endorsements))
+        sim._schedule(0, "deliver", ("a", "d", {"type": "commit", "round_id": 0, "block": forged}))
+        sim.tick(0)
+        assert sim.nodes["d"].ledger.height == 0
+        dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert dropped == [{"to": "d", "type": "commit", "dropped": rule}]
+
+
+def _forge_first_endorsement(sim, height: int) -> None:
+    """Zero the first endorsement signature of the block every node stores at `height`."""
+    block = sim.nodes["a"].ledger.blocks[height]
+    (org, _), *rest = block.endorsements
+    forged = replace(block, endorsements=((org, bytes(64)), *rest))
+    for node in sim.nodes.values():
+        if node.ledger.height >= height:
+            node.ledger.blocks[height] = forged
+
+
+def _sync_drops(sim) -> list[dict]:
+    return [e.detail for e in sim.trace if e.kind == "msg_delivered" and e.detail.get("type") == "sync"]
+
+
+class TestCheckedReplay:
+    def test_returning_node_stops_before_forged_block(self):
+        sim = spawn_network(["a", "b", "c", "d"], SimConfig(seed=2))
+        sim.inject_fault("d", "down")
+        for pid in ("p1", "p2"):
+            sim.register_person(Kind.PATIENT, pid)
+            sim.settle()
+        assert sim.nodes["a"].ledger.height == 2
+        _forge_first_endorsement(sim, 2)
+        # The return replays at once. No settle afterwards: d stays behind and
+        # is next in the proposer rotation, so rounds wait on it indefinitely.
+        sim.inject_fault("d", "up")
+        assert sim.nodes["d"].ledger.height == 1
+        assert _sync_drops(sim) == [{"to": "d", "from": "a", "type": "sync", "dropped": "endorsement"}]
+
+    def test_provisioned_node_stops_before_forged_block(self):
+        sim = spawn_network(["a", "b"], SimConfig(seed=2))
+        sim.register_person(Kind.PATIENT, "p1")
+        sim.settle()
+        _forge_first_endorsement(sim, 1)
+        sim.register_organization("c")
+        sim.settle()
+        assert sim.nodes["c"].ledger.height == 0
+        assert _sync_drops(sim) == [{"to": "c", "from": "a", "type": "sync", "dropped": "endorsement"}]
 
 
 class TestFork:
