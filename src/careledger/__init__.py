@@ -34,7 +34,7 @@ from .ledger import (
     write_ledger,
 )
 from .policy import Decision, PolicyState, Reason, Verdict, evaluate_request
-from .exchange import OffChainStore, RecordEntry, Session, build_timeline, expire_sessions
+from .exchange import OffChainStore, RecordEntry, Session, build_timeline
 from .consent import ConsentState, Quiz, consent_status, parse_quiz, quiz_hash
 from .simnet import SimConfig, Simulation, spawn_network
 from .scenario import run_scenario
@@ -73,7 +73,6 @@ __all__ = [
     "canonical_encode",
     "consent_status",
     "evaluate_request",
-    "expire_sessions",
     "parse_quiz",
     "query_audit",
     "quiz_hash",

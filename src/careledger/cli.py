@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import consent as consent_mod
 from . import crypto
-from .consent import AttemptRecord, ConsentState, LifecycleRecord, ProfileRecord, StudyRecord
+from .consent import ConsentState
 from .errors import CareLedgerError, ChainError, ScriptError
 from .exchange import RecordEntry, Session, build_timeline, timeline_rows
 from .ledger import (
@@ -89,37 +89,6 @@ def _state_dict(sim: Simulation) -> dict:
         for node in sim.nodes.values()
     }
 
-    basis = max(sim.nodes.values(), key=lambda n: n.ledger.height)
-    studies = {
-        sid: {
-            "quiz_hash": rec.quiz_hash.hex(),
-            "researchers": [p.id for p in rec.researchers],
-            "question_count": rec.question_count,
-        }
-        for sid, rec in sorted(basis.consent.studies.items())
-    }
-    lifecycles = [
-        {
-            "study": rec.study_id,
-            "participant": rec.participant.id,
-            "state": rec.state,
-            "signed_at": rec.signed_at,
-            "withdrawn_at": rec.withdrawn_at,
-            "attempts": [
-                {"ordinal": a.ordinal, "mistakes": a.mistakes, "at": a.at, "passed": a.passed}
-                for a in rec.attempts
-            ],
-        }
-        for _, rec in sorted(basis.consent.lifecycles.items())
-    ]
-    profiles = {
-        pid: {
-            "commitments": sorted(c.hex() for c in rec.commitments),
-            "discoverable": rec.discoverable,
-            "overrides": dict(sorted(rec.study_overrides.items())),
-        }
-        for pid, rec in sorted(basis.consent.profiles.items())
-    }
     struggles: dict = {}
     for node in sim.nodes.values():
         for (study_id, pid), detail in node.struggles.items():
@@ -132,7 +101,6 @@ def _state_dict(sim: Simulation) -> dict:
         "orgs": list(sim.nodes),
         "sessions": sessions,
         "vaults": vaults,
-        "consent": {"studies": studies, "lifecycles": lifecycles, "profiles": profiles},
         "struggles": struggles,
     }
 
@@ -284,34 +252,22 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    ledgers = sorted(Path(args.out).glob("*.ledger"))
+    if not ledgers:
+        print(f"no ledger under {args.out}; run a scenario first", file=sys.stderr)
+        return 2
+    try:
+        ledger = max((read_ledger(str(path)) for path in ledgers), key=lambda led: len(led.blocks))
+    except (ChainError, OSError) as exc:
+        print(f"unreadable ledger: {exc}", file=sys.stderr)
+        return 2
+    report = validate_chain(ledger)
+    if not report.ok:
+        print(str(report.violation), file=sys.stderr)
+        return 1
     consent = ConsentState()
-    for sid, row in state["consent"]["studies"].items():
-        consent.studies[sid] = StudyRecord(
-            sid,
-            bytes.fromhex(row["quiz_hash"]),
-            tuple(PrincipalId(Kind.RESEARCHER, r) for r in row["researchers"]),
-            row["question_count"],
-        )
-    for row in state["consent"]["lifecycles"]:
-        rec = LifecycleRecord(
-            row["study"],
-            PrincipalId(Kind.PARTICIPANT, row["participant"]),
-            state=row["state"],
-            signed_at=row["signed_at"],
-            withdrawn_at=row["withdrawn_at"],
-        )
-        rec.attempts = [
-            AttemptRecord(a["ordinal"], a["mistakes"], a["at"], b"", a["passed"])
-            for a in row["attempts"]
-        ]
-        consent.lifecycles[(row["study"], row["participant"])] = rec
-    for pid, row in state["consent"]["profiles"].items():
-        consent.profiles[pid] = ProfileRecord(
-            PrincipalId(Kind.PARTICIPANT, pid),
-            frozenset(bytes.fromhex(c) for c in row["commitments"]),
-            row["discoverable"],
-            dict(row["overrides"]),
-        )
+    for height, pos, tx in ledger.transactions():
+        consent.apply(tx, height, pos)
     struggles = state["struggles"].get(args.study, {})
     try:
         rows = consent_mod.consent_status(

@@ -26,6 +26,7 @@ from .ledger import (
     QuizAttemptRecorded,
     RegisterStudy,
     Transaction,
+    ZERO_HASH,
 )
 
 PASS_MISTAKE_LIMIT = 0  # passing means zero mistakes on a single attempt
@@ -170,37 +171,84 @@ class ConsentState:
     lifecycles: dict[tuple[str, str], LifecycleRecord] = field(default_factory=dict)
     profiles: dict[str, ProfileRecord] = field(default_factory=dict)
 
-    def apply(self, tx: Transaction, height: int, position: int) -> None:
+    def check(self, tx: Transaction, principals: dict[PrincipalId, bytes]) -> Optional[ConsentError]:
+        """None when `tx` meets its payload type's rules against this state and
+        the registered `principals`, else the refusal naming the broken rule;
+        other folds' types pass."""
         p = tx.payload
         if isinstance(p, RegisterStudy):
+            if tx.author not in p.researchers:
+                return _refuse("not_author", f"{tx.author.id} is not a researcher of {p.study_id}")
             if p.study_id in self.studies:
-                raise ConsentError(f"duplicate study {p.study_id}")
+                return _refuse("duplicate", f"duplicate study {p.study_id}")
+            for r in p.researchers:
+                if r not in principals or r.kind is not Kind.RESEARCHER:
+                    return _refuse("unknown", f"unknown researcher {r.id}")
+        elif isinstance(p, ConsentInvited):
+            study = self.studies.get(p.study_id)
+            if study is None:
+                return _refuse("unknown", f"unknown study {p.study_id}")
+            if tx.author not in study.researchers:
+                return _refuse("not_author", f"{tx.author.id} is not a researcher of {p.study_id}")
+            if p.participant not in principals or p.participant.kind is not Kind.PARTICIPANT:
+                return _refuse("unknown", f"unknown participant {p.participant.id}")
+            if (p.study_id, p.participant.id) in self.lifecycles:
+                return _refuse("duplicate", f"{p.participant.id} already invited to {p.study_id}")
+        elif isinstance(p, (QuizAttemptRecorded, ConsentSigned, ConsentWithdrawn)):
+            if tx.author != p.participant:
+                return _refuse("not_author", f"{tx.author.id} cannot act for {p.participant.id}")
+            rec = self.lifecycles.get((p.study_id, p.participant.id))
+            if rec is None or rec.participant != p.participant:
+                return _refuse("unknown", f"{p.participant.id} was not invited to {p.study_id}")
+            if isinstance(p, QuizAttemptRecorded):
+                # Legal until signed or withdrawn; `apply` keeps a pass sticky.
+                if rec.state in ("signed", "withdrawn"):
+                    return _refuse("bad_transition", f"consent already {rec.state}; no further attempts")
+            elif isinstance(p, ConsentSigned):
+                if rec.state == "signed":
+                    return _refuse("bad_transition", "consent already signed")
+                if rec.state != "passed":
+                    return _refuse("bad_transition", "consent can be signed only after a zero-mistake attempt")
+                bound = (p.quiz_hash, p.passing_attempt_tx) == (self.studies[p.study_id].quiz_hash, rec.passing_tx)
+                if not bound or not verify_consent_signature(p, principals[p.participant]):
+                    return _refuse("consent_signature", "consent does not sign the quiz and passing attempt")
+            elif rec.state != "signed":
+                return _refuse("bad_transition", f"cannot withdraw from state {rec.state!r}")
+        elif isinstance(p, ProfilePublished):
+            if tx.author != p.participant:
+                return _refuse("not_author", f"{tx.author.id} cannot publish for {p.participant.id}")
+            if p.participant not in principals or p.participant.kind is not Kind.PARTICIPANT:
+                return _refuse("unknown", f"unknown participant {p.participant.id}")
+            if not p.commitments:
+                return _refuse("malformed", "a profile needs at least one source descriptor")
+        return None
+
+    def apply(self, tx: Transaction, height: int, position: int) -> None:
+        """Fold a transaction that passed `check` against this state."""
+        p = tx.payload
+        if isinstance(p, RegisterStudy):
             self.studies[p.study_id] = StudyRecord(
                 p.study_id, p.quiz_hash, p.researchers, p.question_count
             )
         elif isinstance(p, ConsentInvited):
-            key = (p.study_id, p.participant.id)
-            if key in self.lifecycles:
-                raise ConsentError(f"{p.participant.id} already invited to {p.study_id}")
-            self.lifecycles[key] = LifecycleRecord(p.study_id, p.participant)
-        elif isinstance(p, QuizAttemptRecorded):
-            rec = self._lifecycle(p.study_id, p.participant.id)
-            rec.attempts.append(
-                AttemptRecord(p.ordinal, p.mistakes, tx.timestamp, tx.tx_id, p.passed)
-            )
-            if p.passed:
-                rec.passing_tx = rec.passing_tx or tx.tx_id
-                rec.state = "passed"
-            elif rec.state == "invited":
-                rec.state = "attempted"
-        elif isinstance(p, ConsentSigned):
-            rec = self._lifecycle(p.study_id, p.participant.id)
-            rec.state = "signed"
-            rec.signed_at = tx.timestamp
-        elif isinstance(p, ConsentWithdrawn):
-            rec = self._lifecycle(p.study_id, p.participant.id)
-            rec.state = "withdrawn"
-            rec.withdrawn_at = tx.timestamp
+            self.lifecycles[(p.study_id, p.participant.id)] = LifecycleRecord(p.study_id, p.participant)
+        elif isinstance(p, (QuizAttemptRecorded, ConsentSigned, ConsentWithdrawn)):
+            rec = self.lifecycles[(p.study_id, p.participant.id)]
+            if isinstance(p, QuizAttemptRecorded):
+                rec.attempts.append(
+                    AttemptRecord(p.ordinal, p.mistakes, tx.timestamp, tx.tx_id, p.passed)
+                )
+                if p.passed:
+                    rec.passing_tx = rec.passing_tx or tx.tx_id
+                    rec.state = "passed"
+                elif rec.state == "invited":
+                    rec.state = "attempted"
+            elif isinstance(p, ConsentSigned):
+                rec.state = "signed"
+                rec.signed_at = tx.timestamp
+            else:
+                rec.state = "withdrawn"
+                rec.withdrawn_at = tx.timestamp
         elif isinstance(p, ProfilePublished):
             # Republishing replaces the profile: layer policy must be adjustable.
             self.profiles[p.participant.id] = ProfileRecord(
@@ -210,48 +258,23 @@ class ConsentState:
                 {k: v for k, v in p.study_overrides},
             )
 
-    def _lifecycle(self, study_id: str, participant_id: str) -> LifecycleRecord:
-        rec = self.lifecycles.get((study_id, participant_id))
-        if rec is None:
-            raise ConsentError(f"no consent lifecycle for {participant_id} in {study_id}")
-        return rec
 
-    def consent_valid(self, study_id: str, participant_id: str) -> bool:
-        rec = self.lifecycles.get((study_id, participant_id))
-        return rec is not None and rec.state == "signed"
+_refuse = ConsentError.refuse
 
 
 # ---------------------------------------------------------------------------
-# Operation builders
+# Operation builders: payloads for the simulator to sign and submit. The
+# rules they must meet are in `ConsentState.check`.
 # ---------------------------------------------------------------------------
 
 
 def make_study_registration(
-    state: ConsentState,
-    researchers: tuple[PrincipalId, ...],
-    study_id: str,
-    quiz: Quiz,
+    researchers: tuple[PrincipalId, ...], study_id: str, quiz: Quiz
 ) -> RegisterStudy:
-    if study_id in state.studies:
-        raise ConsentError(f"duplicate study {study_id}")
-    if not researchers:
-        raise ConsentError("a study needs at least one researcher")
-    for r in researchers:
-        if r.kind is not Kind.RESEARCHER:
-            raise ConsentError(f"{r.id} is not a researcher")
     return RegisterStudy(study_id, quiz_hash(quiz), researchers, len(quiz.questions))
 
 
-def make_invitation(
-    state: ConsentState, researcher: PrincipalId, study_id: str, participant: PrincipalId
-) -> ConsentInvited:
-    study = state.studies.get(study_id)
-    if study is None:
-        raise ConsentError(f"unknown study {study_id}")
-    if researcher not in study.researchers:
-        raise ConsentError(f"{researcher.id} is not a researcher of {study_id}")
-    if (study_id, participant.id) in state.lifecycles:
-        raise ConsentError(f"{participant.id} already invited to {study_id}")
+def make_invitation(study_id: str, participant: PrincipalId) -> ConsentInvited:
     return ConsentInvited(study_id, participant)
 
 
@@ -265,16 +288,11 @@ def make_attempt(
     """Grade locally; only the mistake count and ordinal go on chain.
 
     Returns the payload and the wrong-question indexes, which stay on the
-    participant's host node. Attempts are legal while not signed or
-    withdrawn; a pass is sticky, so retrying after a pass cannot demote it.
+    participant's host node.
     """
     rec = state.lifecycles.get((study_id, participant.id))
-    if rec is None:
-        raise ConsentError(f"{participant.id} was not invited to {study_id}")
-    if rec.state in ("signed", "withdrawn"):
-        raise ConsentError(f"consent already {rec.state}; no further attempts")
     mistakes, passed = quiz.grade(answers)
-    ordinal = len(rec.attempts) + 1
+    ordinal = len(rec.attempts) + 1 if rec is not None else 1
     payload = QuizAttemptRecorded(study_id, participant, ordinal, mistakes, passed)
     return payload, quiz.wrong_indexes(answers)
 
@@ -294,17 +312,13 @@ def make_signature(
     study_id: str,
     private_key: bytes,
 ) -> ConsentSigned:
+    """Zero hashes stand in for a quiz or passing attempt the state lacks."""
+    study = state.studies.get(study_id)
     rec = state.lifecycles.get((study_id, participant.id))
-    if rec is None:
-        raise ConsentError(f"{participant.id} was not invited to {study_id}")
-    if rec.state == "signed":
-        raise ConsentError("consent already signed")
-    if rec.state != "passed" or rec.passing_tx is None:
-        raise ConsentError("consent can be signed only after a zero-mistake attempt")
-    study = state.studies[study_id]
-    message = consent_message(study_id, study.quiz_hash, rec.passing_tx)
-    signature = crypto.sign(private_key, message)
-    return ConsentSigned(study_id, participant, study.quiz_hash, rec.passing_tx, signature)
+    digest = study.quiz_hash if study is not None else ZERO_HASH
+    attempt = rec.passing_tx if rec is not None and rec.passing_tx else ZERO_HASH
+    signature = crypto.sign(private_key, consent_message(study_id, digest, attempt))
+    return ConsentSigned(study_id, participant, digest, attempt, signature)
 
 
 def verify_consent_signature(
@@ -314,14 +328,7 @@ def verify_consent_signature(
     return crypto.verify(participant_key, payload.consent_signature, message)
 
 
-def make_withdrawal(
-    state: ConsentState, participant: PrincipalId, study_id: str
-) -> ConsentWithdrawn:
-    rec = state.lifecycles.get((study_id, participant.id))
-    if rec is None:
-        raise ConsentError(f"{participant.id} was not invited to {study_id}")
-    if rec.state != "signed":
-        raise ConsentError(f"cannot withdraw from state {rec.state!r}")
+def make_withdrawal(participant: PrincipalId, study_id: str) -> ConsentWithdrawn:
     return ConsentWithdrawn(study_id, participant)
 
 
@@ -332,8 +339,6 @@ def make_profile(
     discoverable: bool,
     study_overrides: Optional[dict[str, bool]] = None,
 ) -> ProfilePublished:
-    if not descriptors:
-        raise ConsentError("a profile needs at least one source descriptor")
     commitments = frozenset(
         crypto.commitment(salts[d], d) for d in descriptors
     )

@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+# The rules a transaction can break; see `PolicyState.check`, `ConsentState.check`.
+TX_RULES = ("not_author", "duplicate", "unknown", "bad_transition", "consent_signature", "malformed")
+
 
 class CareLedgerError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    rule: str | None = None  # one of TX_RULES when the error refuses a transaction
+
+    @classmethod
+    def refuse(cls, rule: str, message: str) -> "CareLedgerError":
+        assert rule in TX_RULES, rule
+        err = cls(message)
+        err.rule = rule
+        return err
 
 
 class EncodingError(CareLedgerError):

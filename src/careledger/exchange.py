@@ -109,18 +109,6 @@ class OffChainStore:
         return count
 
 
-def fetch_records(store: OffChainStore, patient: str, category: Category) -> list[RecordEntry]:
-    return store.fetch(patient, category)
-
-
-def expire_sessions(sessions: dict[str, Session], now: int) -> int:
-    """Drop every session past its ttl; the records become unreadable. Returns the count."""
-    dead = [sid for sid, s in sessions.items() if s.expired(now)]
-    for sid in dead:
-        del sessions[sid]
-    return len(dead)
-
-
 def build_timeline(
     sessions: Iterable[Session],
     window: Optional[tuple[int, int]] = None,

@@ -19,6 +19,7 @@ import enum
 import json
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import ClassVar, Iterable, Iterator, Optional
 
 from . import crypto
@@ -119,7 +120,7 @@ _PAYLOAD_TYPES: dict[int, type] = {}
 
 
 class Payload:
-    """Base of the payload types. `_payload(tag)` derives the class
+    """Base of the payload types. `_payload(tag, writes)` derives the class
     attributes below from the class's `wire()` fields."""
 
     TAG: ClassVar[int]
@@ -127,6 +128,11 @@ class Payload:
     WIRE: ClassVar[Struct]
     SUBJECT_FIELD: ClassVar[Optional[str]] = None
     AUDIT: ClassVar[tuple] = ()  # (field name, audit key, codec)
+    WRITES: ClassVar[tuple[str, ...]] = ()  # fields naming the fold entry; same kind, same fields
+
+    def key(self) -> Optional[tuple]:
+        """The fold entry this payload writes (see `_payload`), or None."""
+        return (self.WRITES, self._WRITTEN(self)) if self.WRITES else None
 
     def audit_subject(self) -> str:
         return getattr(self, self.SUBJECT_FIELD).id if self.SUBJECT_FIELD else ""
@@ -140,10 +146,11 @@ class Payload:
         return detail
 
 
-def _payload(tag: int):
+def _payload(tag: int, writes: tuple[str, ...] = ()):
     def declare(cls):
         cls = dataclass(frozen=True)(cls)
-        cls.TAG, cls.ACTION, cls.WIRE = tag, cls.__name__, Struct(cls)
+        cls.TAG, cls.ACTION, cls.WIRE, cls.WRITES = tag, cls.__name__, Struct(cls), writes
+        cls._WRITTEN = attrgetter(*writes) if writes else None  # the WRITES fields' values
         audit = []
         for f in fields(cls):
             key = f.metadata.get("audit", f.name)
@@ -158,7 +165,7 @@ def _payload(tag: int):
     return declare
 
 
-@_payload(1)
+@_payload(1, writes=("subject",))
 class RegisterPrincipal(Payload):
     subject: PrincipalId = wire(PRINCIPAL, audit=None)
     public_key: bytes = wire(KEY, audit=None)
@@ -174,7 +181,7 @@ class RegisterPrincipal(Payload):
         return {"kind": self.subject.kind.value, "id": self.subject.id, **super().audit_detail()}
 
 
-@_payload(2)
+@_payload(2, writes=("plan_id",))
 class CreatePlan(Payload):
     plan_id: str = wire(ID, audit="plan")
     patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
@@ -189,7 +196,7 @@ class CreatePlan(Payload):
         return {**super().audit_detail(), "practitioners": pairs}
 
 
-@_payload(3)
+@_payload(3, writes=("grant_id",))
 class GrantAccess(Payload):
     grant_id: str = wire(ID, audit="grant")
     plan_id: str = wire(ID, audit="plan")
@@ -200,7 +207,7 @@ class GrantAccess(Payload):
     valid_until: int = wire(U64, audit="until")
 
 
-@_payload(4)
+@_payload(4, writes=("grant_id",))
 class RevokeAccess(Payload):
     grant_id: str = wire(ID, audit="grant")
     patient: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
@@ -236,7 +243,7 @@ class EmergencyAccess(Payload):
         return {**super().audit_detail(), "emergency": True, "flagged_for_review": True}
 
 
-@_payload(8)
+@_payload(8, writes=("study_id",))
 class RegisterStudy(Payload):
     study_id: str = wire(ID, audit="study")
     quiz_hash: bytes = wire(HASH)
@@ -244,13 +251,13 @@ class RegisterStudy(Payload):
     question_count: int = wire(U32, audit="questions")
 
 
-@_payload(9)
+@_payload(9, writes=("study_id", "participant"))
 class ConsentInvited(Payload):
     study_id: str = wire(ID, audit="study")
     participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
 
 
-@_payload(10)
+@_payload(10, writes=("study_id", "participant"))
 class QuizAttemptRecorded(Payload):
     study_id: str = wire(ID, audit="study")
     participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
@@ -259,7 +266,7 @@ class QuizAttemptRecorded(Payload):
     passed: bool = wire(BOOL)
 
 
-@_payload(11)
+@_payload(11, writes=("study_id", "participant"))
 class ConsentSigned(Payload):
     study_id: str = wire(ID, audit="study")
     participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
@@ -269,13 +276,13 @@ class ConsentSigned(Payload):
     consent_signature: bytes = wire(SIGNATURE, audit=None)
 
 
-@_payload(12)
+@_payload(12, writes=("study_id", "participant"))
 class ConsentWithdrawn(Payload):
     study_id: str = wire(ID, audit="study")
     participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
 
 
-@_payload(13)
+@_payload(13, writes=("participant",))
 class ProfilePublished(Payload):
     participant: PrincipalId = wire(PRINCIPAL, audit=SUBJECT)
     commitments: frozenset[bytes] = wire(SortedSet(HASH))
@@ -444,19 +451,31 @@ def build_block(
     timestamp: int,
     registry: dict[PrincipalId, bytes],
 ) -> Block:
-    txs = tuple(pending)
+    """A block of `first_writes(pending)`; the rest stay pending."""
+    txs = first_writes(pending)
     block = Block(
         height=prev.height + 1,
         prev_hash=prev.hash,
         timestamp=timestamp,
         proposer=proposer,
         tx_root=compute_tx_root(txs),
-        transactions=txs,
+        transactions=tuple(txs),
     )
     violation = check_proposal(prev, block, registry)
     if violation is not None:
         raise ChainError(f"cannot build block: {violation}")
     return block
+
+
+def first_writes(txs: Iterable[Transaction]) -> list[Transaction]:
+    """`txs` in order, less each one that writes a fold entry an earlier one writes."""
+    kept, written = [], set()
+    for tx in txs:
+        key = tx.payload.key()
+        if key is None or key not in written:
+            kept.append(tx)
+            written.add(key)
+    return kept
 
 
 def endorse_block(block: Block, private_key: bytes) -> bytes:
@@ -545,9 +564,12 @@ def check_proposal(
     prev: Optional[Block], block: Block, registry: dict[PrincipalId, bytes]
 ) -> Optional[Violation]:
     """The rules a block must meet before anyone endorses it: it extends
-    `prev` (genesis when None), its tx root recomputes, it is not empty, and
-    every transaction verifies against `registry` plus the keys registered
-    earlier in the same block. `registry` is not modified."""
+    `prev` (genesis when None), its tx root recomputes, it is not empty,
+    every transaction verifies against `registry` (the keys on file before
+    the block), and no two transactions write the same fold entry.
+
+    Endorsers also run the transaction rules, which need the folds; a
+    quorum of endorsements certifies that they passed."""
     height = 0 if prev is None else prev.height + 1
     if block.height != height:
         return Violation(height, "height", f"expected height {height}, block says {block.height}")
@@ -560,16 +582,12 @@ def check_proposal(
         return Violation(height, "tx_root", "root does not recompute from transactions")
     if not block.transactions:
         return Violation(height, "empty_block", "block carries no transactions")
-    keys = registry
     for pos, tx in enumerate(block.transactions):
-        result = verify_tx(tx, keys)
+        result = verify_tx(tx, registry)
         if not result:
             return Violation(height, "tx_signature", f"tx #{pos} ({tx.tx_id.hex()}): {result.reason}")
-        p = tx.payload
-        if isinstance(p, RegisterPrincipal) and p.subject not in keys:
-            if keys is registry:
-                keys = dict(registry)
-            keys[p.subject] = p.public_key
+    if len(first_writes(block.transactions)) < len(block.transactions):
+        return Violation(height, "conflict", "two transactions write the same fold entry")
     return None
 
 

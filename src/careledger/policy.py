@@ -2,8 +2,9 @@
 
 State is a pure fold over committed transactions; `evaluate_request` reads
 that state and nothing else, so the same committed prefix always yields the
-same decision on every node. Operation builders validate against a given
-state and return payloads; signing and consensus are the simulator's job.
+same decision on every node. `PolicyState.check` holds the rules each
+transaction must meet before it is applied; the operation builders only
+build payloads, and signing and consensus are the simulator's job.
 
 Window semantics are half-open: a grant admits timestamps in
 [valid_from, valid_until), further capped by the revocation timestamp.
@@ -19,6 +20,7 @@ from .errors import PolicyError
 from .ledger import (
     Category,
     CreatePlan,
+    DataRequestRecorded,
     EmergencyAccess,
     GrantAccess,
     Kind,
@@ -95,27 +97,106 @@ class PolicyState:
     plans: dict[str, TreatmentPlan] = field(default_factory=dict)
     grants: dict[str, GrantRecord] = field(default_factory=dict)
 
-    def apply(self, tx: Transaction, height: int, position: int) -> None:
+    def check(self, tx: Transaction) -> Optional[PolicyError]:
+        """None when `tx` meets its payload type's rules against this state,
+        else the refusal naming the broken rule; other folds' types pass."""
         p = tx.payload
         if isinstance(p, RegisterPrincipal):
+            if tx.author != p.subject:
+                return _refuse("not_author", f"{tx.author} cannot register {p.subject}")
             if p.subject in self.principals:
-                raise PolicyError(f"duplicate registration of {p.subject}")
+                return _refuse("duplicate", f"duplicate id: {p.subject} is already registered")
+            if p.subject.kind is Kind.PRACTITIONER and p.org_binding is None:
+                return _refuse("malformed", "practitioner registration requires an organization")
+            if p.org_binding is not None:
+                return self._unknown((p.org_binding, Kind.ORGANIZATION))
+        elif isinstance(p, CreatePlan):
+            if tx.author != p.patient:
+                return _refuse("not_author", f"{tx.author} cannot create a plan for {p.patient}")
+            if p.plan_id in self.plans:
+                return _refuse("duplicate", f"duplicate plan {p.plan_id}")
+            if not p.member_orgs:
+                return _refuse("malformed", "a plan needs at least one member organization")
+            unknown = self._unknown(
+                (p.patient, Kind.PATIENT),
+                *((org, Kind.ORGANIZATION) for org in p.member_orgs),
+                *((prac, Kind.PRACTITIONER) for prac, _ in p.practitioners),
+            )
+            if unknown is not None:
+                return unknown
+            for prac, org in p.practitioners:
+                if org not in p.member_orgs or self.practitioner_orgs.get(prac.id) != org:
+                    return _refuse("malformed", f"{prac.id} is not a practitioner of member organization {org.id}")
+        elif isinstance(p, GrantAccess):
+            if tx.author != p.grantor:
+                return _refuse("not_author", f"{tx.author.id} is not the grantor {p.grantor.id}")
+            if p.grant_id in self.grants:
+                return _refuse("duplicate", f"duplicate grant {p.grant_id}")
+            plan = self.plans.get(p.plan_id)
+            if plan is None:
+                return _refuse("unknown", f"unknown plan {p.plan_id}")
+            if p.grantor != plan.patient:
+                return _refuse("not_author", f"grantor {p.grantor.id} is not the plan's patient")
+            if p.grantee not in {prac for prac, _ in plan.practitioners}:
+                return _refuse("malformed", f"grantee {p.grantee.id} is not bound to plan {p.plan_id}")
+            if not p.scope:
+                return _refuse("malformed", "grant scope is empty")
+            if not p.valid_from < p.valid_until:
+                window = f"[{p.valid_from}, {p.valid_until})"
+                return _refuse("malformed", f"grant window is empty or inverted: {window}")
+        elif isinstance(p, RevokeAccess):
+            if tx.author != p.patient:
+                return _refuse("not_author", f"{tx.author.id} cannot revoke as {p.patient.id}")
+            grant = self.grants.get(p.grant_id)
+            if grant is None:
+                return _refuse("unknown", f"unknown grant {p.grant_id}")
+            if grant.revoked_at is not None:
+                return _refuse("duplicate", f"grant {p.grant_id} already revoked")
+            if grant.grantor != p.patient:
+                return _refuse("not_author", f"{p.patient.id} did not issue grant {p.grant_id}")
+        elif isinstance(p, DataRequestRecorded):
+            if tx.author != p.requester or tx.author_org != p.requester_org:
+                return _refuse("not_author", f"{tx.author.id} cannot request for {p.requester.id}")
+            return self._unknown(
+                (p.requester, Kind.PRACTITIONER),
+                (p.requester_org, Kind.ORGANIZATION),
+                (p.sender_org, Kind.ORGANIZATION),
+                (p.patient, Kind.PATIENT),
+            )
+        elif isinstance(p, EmergencyAccess):
+            return self._check_emergency(p)
+        return None
+
+    def _unknown(self, *named: tuple[PrincipalId, Kind]) -> Optional[PolicyError]:
+        """The refusal of the first principal not registered as its kind."""
+        for principal, kind in named:
+            if principal.kind is not kind or principal not in self.principals:
+                return _refuse("unknown", f"unknown {kind.value} {principal.id}")
+        return None
+
+    def _check_emergency(self, p: EmergencyAccess) -> Optional[PolicyError]:
+        # The payload names no authoring organization, so no author rule.
+        unknown = self._unknown((p.requester, Kind.PRACTITIONER), (p.patient, Kind.PATIENT))
+        if unknown is not None:
+            return unknown
+        if not _practitioner_in_any_plan(self, p.requester, p.patient):
+            return _refuse("not_author", f"{p.requester.id} is not a practitioner in any plan of {p.patient.id}")
+        return None
+
+    def apply(self, tx: Transaction, height: int, position: int) -> None:
+        """Fold a transaction that passed `check` against this state."""
+        p = tx.payload
+        if isinstance(p, RegisterPrincipal):
             self.principals[p.subject] = p.public_key
             if p.subject.kind is Kind.ORGANIZATION:
                 self.org_order.append(p.subject)
             elif p.subject.kind is Kind.PRACTITIONER:
-                if p.org_binding is None:
-                    raise PolicyError(f"practitioner {p.subject.id} has no organization binding")
                 self.practitioner_orgs[p.subject.id] = p.org_binding
         elif isinstance(p, CreatePlan):
-            if p.plan_id in self.plans:
-                raise PolicyError(f"duplicate plan {p.plan_id}")
             self.plans[p.plan_id] = TreatmentPlan(
                 p.plan_id, p.patient, p.member_orgs, p.practitioners, tx.timestamp
             )
         elif isinstance(p, GrantAccess):
-            if p.grant_id in self.grants:
-                raise PolicyError(f"duplicate grant {p.grant_id}")
             self.grants[p.grant_id] = GrantRecord(
                 p.grant_id,
                 p.plan_id,
@@ -127,17 +208,9 @@ class PolicyState:
                 order=(height, position),
             )
         elif isinstance(p, RevokeAccess):
-            grant = self.grants.get(p.grant_id)
-            if grant is None:
-                raise PolicyError(f"revocation of unknown grant {p.grant_id}")
-            if grant.revoked_at is not None:
-                raise PolicyError(f"grant {p.grant_id} already revoked")
-            grant.revoked_at = tx.timestamp
+            self.grants[p.grant_id].revoked_at = tx.timestamp
 
     # -- lookups -----------------------------------------------------------
-
-    def registry(self) -> dict[PrincipalId, bytes]:
-        return self.principals
 
     def quorum_members(self) -> list[PrincipalId]:
         return list(self.org_order)
@@ -146,64 +219,35 @@ class PolicyState:
         return [pl for pl in self.plans.values() if pl.patient == patient]
 
 
+_refuse = PolicyError.refuse
+
+
 # ---------------------------------------------------------------------------
-# Operation builders (validate against committed state, return payloads)
+# Operation builders: payloads for the simulator to sign and submit. The
+# rules they must meet are in `PolicyState.check`.
 # ---------------------------------------------------------------------------
 
 
 def make_registration(
-    state: PolicyState,
     kind: Kind,
     id: str,
     public_key: bytes,
     org_binding: Optional[PrincipalId] = None,
     identity_commitment: Optional[bytes] = None,
 ) -> RegisterPrincipal:
-    subject = PrincipalId(kind, id)
-    if subject in state.principals:
-        raise PolicyError(f"duplicate id: {subject} is already registered")
-    if kind is Kind.PRACTITIONER:
-        if org_binding is None:
-            raise PolicyError("practitioner registration requires an organization")
-        if org_binding not in state.principals:
-            raise PolicyError(f"unknown organization binding {org_binding.id}")
-    elif org_binding is not None and org_binding.kind is not Kind.ORGANIZATION:
-        raise PolicyError("org binding must name an organization")
-    return RegisterPrincipal(subject, public_key, org_binding, identity_commitment)
+    return RegisterPrincipal(PrincipalId(kind, id), public_key, org_binding, identity_commitment)
 
 
 def make_plan(
-    state: PolicyState,
     plan_id: str,
     patient: PrincipalId,
     member_orgs: frozenset[PrincipalId],
     practitioners: frozenset[tuple[PrincipalId, PrincipalId]],
 ) -> CreatePlan:
-    if plan_id in state.plans:
-        raise PolicyError(f"duplicate plan {plan_id}")
-    if not member_orgs:
-        raise PolicyError("a plan needs at least one member organization")
-    if patient not in state.principals or patient.kind is not Kind.PATIENT:
-        raise PolicyError(f"unknown patient {patient.id}")
-    for org in member_orgs:
-        if org not in state.principals or org.kind is not Kind.ORGANIZATION:
-            raise PolicyError(f"unknown member organization {org.id}")
-    for prac, org in practitioners:
-        if prac not in state.principals or prac.kind is not Kind.PRACTITIONER:
-            raise PolicyError(f"unknown practitioner {prac.id}")
-        if org not in member_orgs:
-            raise PolicyError(
-                f"practitioner {prac.id} bound to {org.id}, which is not a plan member"
-            )
-        if state.practitioner_orgs.get(prac.id) != org:
-            raise PolicyError(
-                f"practitioner {prac.id} is not registered with organization {org.id}"
-            )
     return CreatePlan(plan_id, patient, member_orgs, practitioners)
 
 
 def make_grant(
-    state: PolicyState,
     grant_id: str,
     plan_id: str,
     grantor: PrincipalId,
@@ -212,34 +256,10 @@ def make_grant(
     valid_from: int,
     valid_until: int,
 ) -> GrantAccess:
-    if grant_id in state.grants:
-        raise PolicyError(f"duplicate grant {grant_id}")
-    plan = state.plans.get(plan_id)
-    if plan is None:
-        raise PolicyError(f"unknown plan {plan_id}")
-    if grantor != plan.patient:
-        raise PolicyError(f"grantor {grantor.id} is not the plan's patient")
-    if grantee not in {prac for prac, _ in plan.practitioners}:
-        raise PolicyError(f"grantee {grantee.id} is not bound to plan {plan_id}")
-    if not scope:
-        raise PolicyError("grant scope is empty")
-    if not valid_from < valid_until:
-        raise PolicyError(
-            f"grant window is empty or inverted: [{valid_from}, {valid_until})"
-        )
     return GrantAccess(grant_id, plan_id, grantor, grantee, scope, valid_from, valid_until)
 
 
-def make_revocation(
-    state: PolicyState, grantor: PrincipalId, grant_id: str
-) -> RevokeAccess:
-    grant = state.grants.get(grant_id)
-    if grant is None:
-        raise PolicyError(f"unknown grant {grant_id}")
-    if grant.revoked_at is not None:
-        raise PolicyError(f"grant {grant_id} already revoked")
-    if grant.grantor != grantor:
-        raise PolicyError(f"{grantor.id} did not issue grant {grant_id}")
+def make_revocation(grantor: PrincipalId, grant_id: str) -> RevokeAccess:
     return RevokeAccess(grant_id, grantor)
 
 
@@ -273,17 +293,13 @@ def evaluate_request(
     allow_emergency, provided the requester appears in at least one plan of
     the patient; a valid grant still wins as a plain allow.
     """
-    known = (
-        state.principals.get(requester) is not None
-        and requester.kind is Kind.PRACTITIONER
-        and state.principals.get(requester_org) is not None
-        and requester_org.kind is Kind.ORGANIZATION
-        and state.principals.get(sender_org) is not None
-        and sender_org.kind is Kind.ORGANIZATION
-        and state.principals.get(patient) is not None
-        and patient.kind is Kind.PATIENT
+    unknown = state._unknown(
+        (requester, Kind.PRACTITIONER),
+        (requester_org, Kind.ORGANIZATION),
+        (sender_org, Kind.ORGANIZATION),
+        (patient, Kind.PATIENT),
     )
-    if not known:
+    if unknown is not None:
         return Decision(Verdict.DENY, Reason.UNKNOWN_PRINCIPAL)
 
     normal = _evaluate_grants(
@@ -352,14 +368,8 @@ def make_emergency_access(
     Restricted to practitioners appearing in at least one plan of the
     patient; anyone else is an error rather than a quiet override.
     """
-    if requester not in state.principals or requester.kind is not Kind.PRACTITIONER:
-        raise PolicyError(f"unknown requester {requester.id}")
-    if patient not in state.principals or patient.kind is not Kind.PATIENT:
-        raise PolicyError(f"unknown patient {patient.id}")
-    if not _practitioner_in_any_plan(state, requester, patient):
-        raise PolicyError(
-            f"{requester.id} is not a practitioner in any plan of {patient.id}"
-        )
-    decision = Decision(Verdict.ALLOW_EMERGENCY, Reason.EMERGENCY_OVERRIDE)
     payload = EmergencyAccess(request_tx, requester, patient, category)
-    return decision, payload
+    violation = state._check_emergency(payload)
+    if violation is not None:
+        raise violation
+    return Decision(Verdict.ALLOW_EMERGENCY, Reason.EMERGENCY_OVERRIDE), payload

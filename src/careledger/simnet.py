@@ -6,13 +6,21 @@ expiry timers. The trace and every committed chain are pure functions of
 (script, seed). Nodes hold only plain data (bytes keys, dataclasses, dicts),
 so a whole simulation can be forked with deepcopy for prefix exploration.
 
+Transactions meet their payload type's rules (`PolicyState.check`,
+`ConsentState.check`) at submission, at each peer's admission, and in each
+endorser's check of a proposal, against the state before the block. A
+proposer takes one pending transaction per fold entry; a commit drops
+(traced) the pending ones whose entry it wrote and that no longer pass.
+
 Consensus is a minimal crash-fault round: the proposer for height h is the
 h-th member organization round-robin (offline proposers are skipped), every
-online member endorses the header digest, and the block commits once
-floor(2n/3)+1 endorsements are collected. Rounds that cannot reach quorum
-abort and leave their transactions pending; returning nodes replay missed
-blocks from a peer before taking new messages, checking each one as a commit
-is checked and stopping at the first that fails.
+online member checks the proposal and endorses the header digest, and the
+block commits once floor(2n/3)+1 endorsements are collected. The quorum
+vouches for the transaction rules, so commits and replays check the chain
+rules only. Rounds that cannot reach quorum abort and leave their
+transactions pending; returning nodes replay missed blocks from a peer
+before taking new messages, checking each one as a commit is checked and
+stopping at the first that fails.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from . import consent as consent_mod
 from . import crypto
 from . import policy as policy_mod
 from .consent import ConsentState, Quiz
-from .errors import ConsentError, PolicyError, SimError
+from .errors import CareLedgerError, ConsentError, PolicyError, SimError
 from .exchange import OffChainStore, RequestOutcome, Session, VaultRow, build_timeline
 from .ledger import (
     AccessCompleted,
@@ -139,6 +147,11 @@ class Node:
     def __post_init__(self) -> None:
         if self.store is None:
             self.store = OffChainStore(self.org.id)
+
+
+def _check_tx(node: Node, tx: Transaction) -> Optional[CareLedgerError]:
+    """The rules of `tx`'s payload type against `node`'s folds."""
+    return node.policy.check(tx) or node.consent.check(tx, node.policy.principals)
 
 
 @dataclass
@@ -319,6 +332,15 @@ class Simulation:
         if sync:
             detail["sync"] = True
         self._trace("block_committed", detail)
+        # Only a write to its own entry can turn a valid pending tx invalid, so
+        # every pending tx passes the rules against the node's current state.
+        if node.mempool:
+            written = {tx.payload.key() for tx in block.transactions} - {None}
+            for tx in [tx for tx in node.mempool.values() if tx.payload.key() in written]:
+                violation = _check_tx(node, tx)
+                if violation is not None:
+                    del node.mempool[tx.tx_id]
+                    self._trace("tx_dropped", {"org": node.org.id, "tx": tx.tx_id.hex(), "rule": violation.rule})
 
     def _on_block_committed(self, node: Node, block: Block, sync: bool = False) -> None:
         self._node_apply_block(node, block, sync=sync)
@@ -363,7 +385,7 @@ class Simulation:
         """Check a block `node` replays from `source`'s chain as a commit is
         checked; trace the drop when it fails."""
         prev = node.ledger.blocks[-1] if node.ledger.blocks else None
-        violation = check_block(prev, block, node.policy.registry(), node.policy.quorum_members())
+        violation = check_block(prev, block, node.policy.principals, node.policy.quorum_members())
         if violation is None:
             return True
         self._trace(
@@ -436,7 +458,7 @@ class Simulation:
             proposer.ledger.tip(),
             proposer.org,
             self.clock,
-            proposer.policy.registry(),
+            proposer.policy.principals,
         )
         self._round_ids += 1
         state = RoundState(
@@ -457,11 +479,11 @@ class Simulation:
             },
         )
         # The proposer endorses locally; the other online members by message.
-        state.endorsements[proposer.org.id] = endorse_block(
-            block, self.private_keys[proposer.org]
-        )
+        # Ed25519 is deterministic, so its endorsement doubles as its
+        # signature on the proposal.
+        proposer_sig = endorse_block(block, self.private_keys[proposer.org])
+        state.endorsements[proposer.org.id] = proposer_sig
         self._trace("block_endorsed", {"height": block.height, "org": proposer.org.id})
-        proposer_sig = crypto.sign(self.private_keys[proposer.org], block.hash)
         for member in members:
             if member.id == proposer.org.id or not self.nodes[member.id].online:
                 continue
@@ -513,13 +535,6 @@ class Simulation:
                     {"type": "commit", "round_id": state.round_id, "block": final},
                 )
 
-    def run_consensus_round(self) -> Optional[Block]:
-        """Force an endorsement round now and settle; returns the committed block."""
-        before = self.last_committed
-        self._schedule(0, "consensus_attempt", ())
-        self.settle()
-        return self.last_committed if self.last_committed is not before else None
-
     # -- message handlers -------------------------------------------------------
 
     def _ev_deliver(self, from_org: str, to_org: str, message: dict) -> None:
@@ -535,27 +550,31 @@ class Simulation:
         tx: Transaction = message["tx"]
         if tx.tx_id in node.mempool or tx.tx_id in node.ledger.height_index:
             return
-        if not verify_tx(tx, node.policy.registry()):
-            self._trace(
-                "msg_delivered",
-                {"to": node.org.id, "type": "tx", "dropped": "signature", "tx": tx.tx_id.hex()},
-            )
+        verified = verify_tx(tx, node.policy.principals)
+        dropped = getattr(_check_tx(node, tx), "rule", None) if verified else "signature"
+        if dropped is not None:
+            self._trace("msg_delivered", {"to": node.org.id, "type": "tx", "dropped": dropped, "tx": tx.tx_id.hex()})
             return
         node.mempool[tx.tx_id] = tx
         self._maybe_schedule_attempt()
 
     def _on_propose(self, node: Node, from_org: str, message: dict) -> None:
         block: Block = message["block"]
-        proposer_key = node.policy.registry().get(block.proposer)
+        proposer_key = node.policy.principals.get(block.proposer)
         if proposer_key is None or not crypto.verify(
             proposer_key, message["proposer_sig"], block.hash
         ):
-            self._trace(
-                "msg_delivered",
-                {"to": node.org.id, "type": "propose", "dropped": "signature"},
-            )
-            return
-        if check_proposal(node.ledger.tip(), block, node.policy.registry()) is not None:
+            dropped = "signature"
+        else:
+            violation = check_proposal(node.ledger.tip(), block, node.policy.principals)
+            if violation is None:  # the pending txs passed already
+                unchecked = (tx for tx in block.transactions if tx.tx_id not in node.mempool)
+                violation = next(filter(None, (_check_tx(node, tx) for tx in unchecked)), None)
+            elif violation.rule in ("height", "prev_hash"):
+                return  # this node lags the proposer's tip; the block itself may be sound
+            dropped = getattr(violation, "rule", None)
+        if dropped is not None:
+            self._trace("msg_delivered", {"to": node.org.id, "type": "propose", "dropped": dropped})
             return
         self._trace("block_endorsed", {"height": block.height, "org": node.org.id})
         self._send(
@@ -581,7 +600,7 @@ class Simulation:
         ):
             return
         org: PrincipalId = message["org"]
-        key = node.policy.registry().get(org)
+        key = node.policy.principals.get(org)
         if key is None or not crypto.verify(key, message["sig"], state.block.hash):
             self._trace(
                 "msg_delivered",
@@ -607,7 +626,7 @@ class Simulation:
             if block.height != node.ledger.height + 1:
                 return
         violation = check_block(
-            node.ledger.tip(), block, node.policy.registry(), node.policy.quorum_members()
+            node.ledger.tip(), block, node.policy.principals, node.policy.quorum_members()
         )
         if violation is not None:
             self._trace(
@@ -628,7 +647,10 @@ class Simulation:
     def _submit_tx(self, via: Node, tx: Transaction) -> Transaction:
         if not via.online:
             raise SimError(f"node {via.org.id} is offline; cannot submit")
-        result = verify_tx(tx, via.policy.registry())
+        violation = _check_tx(via, tx)
+        if violation is not None:
+            raise violation
+        result = verify_tx(tx, via.policy.principals)
         if not result:
             raise SimError(f"refusing unverifiable transaction: {result.reason}")
         self._trace(
@@ -645,6 +667,12 @@ class Simulation:
         tx = Transaction(self.clock, author, author_org, payload)
         return self._submit_tx(via, sign_tx(tx, self.private_keys[author]))
 
+    def _register(self, via: Node, author_org: PrincipalId, payload: RegisterPrincipal, key: bytes) -> Transaction:
+        """Submit a registration the subject's new key signs; keep the key once it is accepted."""
+        tx = self._submit_tx(via, sign_tx(Transaction(self.clock, payload.subject, author_org, payload), key))
+        self.private_keys[payload.subject] = key
+        return tx
+
     def _entry_node(self) -> Node:
         for name in self.nodes:
             if self.nodes[name].online:
@@ -655,46 +683,41 @@ class Simulation:
 
     def register_organization(self, org_id: str) -> Transaction:
         via = self._entry_node()
-        principal = PrincipalId(Kind.ORGANIZATION, org_id)
         private, public = crypto.generate_keypair(self.rng)
-        payload = policy_mod.make_registration(via.policy, Kind.ORGANIZATION, org_id, public)
-        self.private_keys[principal] = private
-        return self._sign_and_submit(via, principal, principal, payload)
+        payload = policy_mod.make_registration(Kind.ORGANIZATION, org_id, public)
+        return self._register(via, payload.subject, payload, private)
 
     def register_practitioner(self, practitioner_id: str, org_id: str) -> Transaction:
         org = PrincipalId(Kind.ORGANIZATION, org_id)
         node = self.nodes.get(org_id)
         if node is None:
             raise PolicyError(f"unknown organization {org_id}")
-        principal = PrincipalId(Kind.PRACTITIONER, practitioner_id)
         private, public = crypto.generate_keypair(self.rng)
-        payload = policy_mod.make_registration(
-            node.policy, Kind.PRACTITIONER, practitioner_id, public, org_binding=org
-        )
-        self.private_keys[principal] = private
+        payload = policy_mod.make_registration(Kind.PRACTITIONER, practitioner_id, public, org_binding=org)
+        tx = self._register(node, org, payload, private)
         self.host_org[practitioner_id] = org_id
-        return self._sign_and_submit(node, principal, org, payload)
+        return tx
 
     def register_person(self, kind: Kind, person_id: str) -> Transaction:
         """Register a patient, researcher, or participant at the first org node."""
         via = self._entry_node()
-        principal = PrincipalId(kind, person_id)
         private, public = crypto.generate_keypair(self.rng)
-        commitment = None
+        row = None
         if kind in (Kind.PATIENT, Kind.PARTICIPANT):
             true_id = SYNTHETIC_NAMES[self._identity_seq % len(SYNTHETIC_NAMES)]
             if self._identity_seq >= len(SYNTHETIC_NAMES):
                 true_id = f"{true_id} {self._identity_seq // len(SYNTHETIC_NAMES) + 1}"
-            self._identity_seq += 1
-            salt = crypto.new_salt(self.rng)
-            commitment = crypto.commitment(salt, true_id)
-            self.identity_rows[person_id] = VaultRow(salt, true_id)
-            for node in self.nodes.values():
-                node.store.vault[person_id] = VaultRow(salt, true_id)
-        payload = policy_mod.make_registration(via.policy, kind, person_id, public, identity_commitment=commitment)
-        self.private_keys[principal] = private
+            row = VaultRow(crypto.new_salt(self.rng), true_id)
+        commitment = crypto.commitment(row.salt, row.true_id) if row else None
+        payload = policy_mod.make_registration(kind, person_id, public, identity_commitment=commitment)
+        tx = self._register(via, via.org, payload, private)
         self.host_org[person_id] = via.org.id
-        return self._sign_and_submit(via, principal, via.org, payload)
+        if row is not None:
+            self._identity_seq += 1
+            self.identity_rows[person_id] = row
+            for node in self.nodes.values():
+                node.store.vault[person_id] = VaultRow(row.salt, row.true_id)
+        return tx
 
     # -- care-plan operations --------------------------------------------------
 
@@ -708,7 +731,6 @@ class Simulation:
         patient = PrincipalId(Kind.PATIENT, patient_id)
         via = self._host_node(patient)
         payload = policy_mod.make_plan(
-            via.policy,
             plan_id,
             patient,
             frozenset(PrincipalId(Kind.ORGANIZATION, o) for o in member_orgs),
@@ -737,7 +759,6 @@ class Simulation:
         via = self._host_node(patient)
         gid = grant_id or self.next_grant_id()
         payload = policy_mod.make_grant(
-            via.policy,
             gid,
             plan_id,
             patient,
@@ -751,7 +772,7 @@ class Simulation:
     def revoke_access(self, patient_id: str, grant_id: str) -> Transaction:
         patient = PrincipalId(Kind.PATIENT, patient_id)
         via = self._host_node(patient)
-        payload = policy_mod.make_revocation(via.policy, patient, grant_id)
+        payload = policy_mod.make_revocation(patient, grant_id)
         return self._sign_and_submit(via, patient, via.org, payload)
 
     # -- record exchange ---------------------------------------------------------
@@ -778,11 +799,6 @@ class Simulation:
         node = self.nodes.get(requester_org.id)
         if node is None or not node.online:
             raise SimError(f"requester node {requester_org.id} is not available")
-        if sender_org.id not in self.nodes:
-            raise PolicyError(f"unknown sender organization {sender_org.id}")
-        for principal in (requester, requester_org, sender_org, patient):
-            if principal not in node.policy.principals:
-                raise PolicyError(f"unknown principal {principal}")
         payload = DataRequestRecorded(
             requester, requester_org, sender_org, patient, category, emergency
         )
@@ -938,19 +954,16 @@ class Simulation:
     def register_study(self, researcher_id: str, study_id: str, quiz: Quiz) -> Transaction:
         researcher = PrincipalId(Kind.RESEARCHER, researcher_id)
         via = self._host_node(researcher)
-        if researcher not in via.policy.principals:
-            raise ConsentError(f"unknown researcher {researcher_id}")
-        payload = consent_mod.make_study_registration(via.consent, (researcher,), study_id, quiz)
+        payload = consent_mod.make_study_registration((researcher,), study_id, quiz)
+        tx = self._sign_and_submit(via, researcher, via.org, payload)
         self.quizzes[study_id] = quiz
-        return self._sign_and_submit(via, researcher, via.org, payload)
+        return tx
 
     def invite(self, researcher_id: str, study_id: str, participant_id: str) -> Transaction:
         researcher = PrincipalId(Kind.RESEARCHER, researcher_id)
         participant = PrincipalId(Kind.PARTICIPANT, participant_id)
         via = self._host_node(researcher)
-        if participant not in via.policy.principals:
-            raise ConsentError(f"unknown participant {participant_id}")
-        payload = consent_mod.make_invitation(via.consent, researcher, study_id, participant)
+        payload = consent_mod.make_invitation(study_id, participant)
         return self._sign_and_submit(via, researcher, via.org, payload)
 
     def submit_attempt(self, participant_id: str, study_id: str, answers: list[int]) -> tuple[int, bool, Transaction]:
@@ -960,8 +973,8 @@ class Simulation:
         if quiz is None:
             raise ConsentError(f"unknown study {study_id}")
         payload, wrong = consent_mod.make_attempt(via.consent, participant, study_id, quiz, answers)
-        via.struggles.setdefault((study_id, participant_id), []).append(wrong)
         tx = self._sign_and_submit(via, participant, via.org, payload)
+        via.struggles.setdefault((study_id, participant_id), []).append(wrong)
         return payload.mistakes, payload.passed, tx
 
     def sign_consent(self, participant_id: str, study_id: str) -> Transaction:
@@ -975,7 +988,7 @@ class Simulation:
     def withdraw_consent(self, participant_id: str, study_id: str) -> Transaction:
         participant = PrincipalId(Kind.PARTICIPANT, participant_id)
         via = self._host_node(participant)
-        payload = consent_mod.make_withdrawal(via.consent, participant, study_id)
+        payload = consent_mod.make_withdrawal(participant, study_id)
         return self._sign_and_submit(via, participant, via.org, payload)
 
     def publish_profile(
@@ -987,14 +1000,13 @@ class Simulation:
     ) -> Transaction:
         participant = PrincipalId(Kind.PARTICIPANT, participant_id)
         via = self._host_node(participant)
-        if participant not in via.policy.principals:
-            raise ConsentError(f"unknown participant {participant_id}")
         salts = {d: crypto.new_salt(self.rng) for d in descriptors}
         payload = consent_mod.make_profile(
             participant, descriptors, salts, discoverable, study_overrides
         )
+        tx = self._sign_and_submit(via, participant, via.org, payload)
         via.profile_salts[participant_id] = salts
-        return self._sign_and_submit(via, participant, via.org, payload)
+        return tx
 
     def consent_dashboard(self, researcher_id: str, study_id: str):
         researcher = PrincipalId(Kind.RESEARCHER, researcher_id)

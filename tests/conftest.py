@@ -6,7 +6,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from careledger import SimConfig, spawn_network
-from careledger.ledger import Category, Kind, PrincipalId
+from careledger.ledger import (
+    Block,
+    Category,
+    Kind,
+    PrincipalId,
+    Transaction,
+    compute_tx_root,
+    endorse_block,
+    sign_tx,
+)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -39,6 +48,26 @@ def build_care_sim(seed: int = 42):
     )
     sim.settle()
     return sim
+
+
+def signed(sim, author, author_org, payload, at=None):
+    """`payload` as a transaction `author` signs at `at` (default: now)."""
+    tx = Transaction(sim.clock if at is None else at, author, author_org, payload)
+    return sign_tx(tx, sim.private_keys[author])
+
+
+def propose(sim, proposer: str, to: str, txs) -> list:
+    """Deliver to `to` a proposal of `txs` that `proposer` signed, bypassing
+    its block building; return the (kind, detail) events that followed."""
+    node = sim.nodes[proposer]
+    prev = node.ledger.tip()
+    block = Block(prev.height + 1, prev.hash, sim.clock, node.org, compute_tx_root(txs), tuple(txs))
+    message = {"type": "propose", "round_id": 0, "block": block,
+               "proposer_sig": endorse_block(block, sim.private_keys[node.org])}
+    since = len(sim.trace)
+    sim._schedule(0, "deliver", (proposer, to, message))
+    sim.tick(0)
+    return [(e.kind, e.detail) for e in sim.trace[since:]]
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """CLI surface: subcommands, exit codes, byte-stable outputs."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from careledger.cli import main
+from careledger.ledger import read_ledger, write_ledger
 
 from conftest import FIXTURES
 
@@ -188,6 +190,20 @@ class TestDashboard:
 
     def test_non_researcher_exit_1(self, case2_out):
         assert main(["dashboard", str(case2_out), "someone", "sleepstudy"]) == 1
+
+    def test_rows_fold_from_a_chain_that_validates(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", str(FIXTURES / "case2.scn"), "--seed", "9", "--out", str(out)]) == 0
+        for path in out.glob("*.ledger"):
+            ledger = read_ledger(str(path))
+            block = ledger.blocks[1]
+            (org, _), *rest = block.endorsements
+            ledger.blocks[1] = replace(block, endorsements=((org, bytes(64)), *rest))
+            write_ledger(ledger, str(path))
+        capsys.readouterr()
+        assert main(["dashboard", str(out), "drx", "sleepstudy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "endorsement" in captured.err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Consent lifecycle, quiz grading, dashboards, profiles, and matching."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,15 +9,24 @@ from careledger import crypto
 from careledger.consent import (
     Question,
     Quiz,
+    consent_message,
     dashboard_rows,
     parse_quiz,
     quiz_hash,
     verify_consent_signature,
 )
 from careledger.errors import ConsentError
-from careledger.ledger import Kind, PrincipalId, canonical_encode
+from careledger.ledger import (
+    ZERO_HASH,
+    ConsentInvited,
+    ConsentSigned,
+    Kind,
+    PrincipalId,
+    canonical_encode,
+)
 from careledger.simnet import SimConfig, Simulation, spawn_network
 
+from conftest import propose, signed
 from oracles import match_oracle
 
 P = PrincipalId
@@ -172,7 +182,7 @@ class TestLifecycle:
         assert rec.state == "passed"
         sim.sign_consent("part1", "sleepstudy")
         sim.settle()
-        assert sim.nodes["uni"].consent.consent_valid("sleepstudy", "part1")
+        assert sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].state == "signed"
 
     def test_signature_binds_study_quiz_and_attempt(self):
         sim = consent_sim()
@@ -218,7 +228,7 @@ class TestLifecycle:
         sim.settle()
         sim.withdraw_consent("part1", "sleepstudy")
         sim.settle()
-        assert not sim.nodes["uni"].consent.consent_valid("sleepstudy", "part1")
+        assert sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].state != "signed"
         with pytest.raises(ConsentError):
             sim.withdraw_consent("part1", "sleepstudy")
 
@@ -244,6 +254,82 @@ class TestLifecycle:
             "ConsentSigned",
             "ConsentWithdrawn",
         ]
+
+
+def _submit_consent(sim, author, consent):
+    """Sign `consent` as `author` and submit it through the author's host node."""
+    via = sim.nodes[sim.host_org[author.id]]
+    return sim._submit_tx(via, signed(sim, author, via.org, consent))
+
+
+def _invitation(sim, participant: str, at: int):
+    payload = ConsentInvited("sleepstudy", P(Kind.PARTICIPANT, participant))
+    return signed(sim, P(Kind.RESEARCHER, "drx"), P(Kind.ORGANIZATION, "uni"), payload, at=at)
+
+
+class TestOneWritePerKey:
+    def test_proposal_with_two_invitations_of_one_pair_dropped_as_conflict(self):
+        sim = consent_sim()
+        sim.register_person(Kind.PARTICIPANT, "part2")
+        sim.settle()
+        events = propose(sim, "uni", "biobank", [_invitation(sim, "part2", at) for at in (1, 2)])
+        assert ("msg_delivered", {"to": "biobank", "type": "propose", "dropped": "conflict"}) in events
+        assert not any(kind == "block_endorsed" for kind, _ in events)
+
+    def test_second_pending_invitation_dropped_once_the_first_commits(self):
+        sim = consent_sim()
+        sim.register_person(Kind.PARTICIPANT, "part2")
+        sim.settle()
+        first = sim.invite("drx", "sleepstudy", "part2")
+        second = sim._submit_tx(sim.nodes["biobank"], _invitation(sim, "part2", at=sim.clock + 1))
+        sim.settle()
+        sim.assert_prefix_consistent()
+        assert len({n.ledger.height for n in sim.nodes.values()}) == 1
+        ledger = sim.nodes["uni"].ledger
+        assert ledger.find_tx(first.tx_id) is not None and ledger.find_tx(second.tx_id) is None
+        drops = [e.detail for e in sim.trace if e.kind == "tx_dropped"]
+        assert {d["org"] for d in drops} == {"uni", "biobank"}
+        assert all((d["tx"], d["rule"]) == (second.tx_id.hex(), "duplicate") for d in drops)
+        assert not any(n.mempool for n in sim.nodes.values())
+
+
+class TestLedgerEnforcedConsent:
+    """A ConsentSigned the builder would not make is refused by the ledger."""
+
+    PART = P(Kind.PARTICIPANT, "part1")
+
+    def _passed(self):
+        sim = consent_sim()
+        sim.submit_attempt("part1", "sleepstudy", [1, 0, 1])
+        sim.settle()
+        return sim, sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].passing_tx
+
+    def _consent(self, sim, attempt_tx):
+        message = consent_message("sleepstudy", quiz_hash(QUIZ), attempt_tx)
+        signature = crypto.sign(sim.private_keys[self.PART], message)
+        return ConsentSigned("sleepstudy", self.PART, quiz_hash(QUIZ), attempt_tx, signature)
+
+    def _refused(self, sim, author, consent, rule):
+        with pytest.raises(ConsentError) as err:
+            _submit_consent(sim, author, consent)
+        assert err.value.rule == rule
+        sim.settle()
+        assert sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].state != "signed"
+
+    def test_consent_written_by_researcher_refused(self):
+        sim, passing = self._passed()
+        self._refused(sim, P(Kind.RESEARCHER, "drx"), self._consent(sim, passing), "not_author")
+
+    def test_zeroed_consent_signature_refused(self):
+        sim, passing = self._passed()
+        forged = replace(self._consent(sim, passing), consent_signature=bytes(64))
+        self._refused(sim, self.PART, forged, "consent_signature")
+
+    def test_consent_before_a_passing_attempt_refused(self):
+        sim = consent_sim()
+        sim.submit_attempt("part1", "sleepstudy", [0, 0, 0])
+        sim.settle()
+        self._refused(sim, self.PART, self._consent(sim, ZERO_HASH), "bad_transition")
 
 
 class TestDashboard:

@@ -11,8 +11,6 @@ from careledger.exchange import (
     RecordEntry,
     Session,
     build_timeline,
-    expire_sessions,
-    fetch_records,
     submit_request,
 )
 from careledger.ledger import (
@@ -64,7 +62,7 @@ class TestStore:
         lines = (fixtures_dir / "records_hospital.tsv").read_text().splitlines()
         count = store.load_tsv(lines)
         assert count == 5
-        vitals = fetch_records(store, "p001", Category.VITALS)
+        vitals = store.fetch("p001", Category.VITALS)
         assert [r.measured_at for r in vitals] == [10, 30, 45]
         assert vitals[0].value == "BP 132/85"
 
@@ -153,17 +151,6 @@ class TestSessions:
         s = self._session()
         assert not s.expired(599_999)
         assert s.expired(600_000)
-
-    def test_expire_sessions_counts_and_drops(self):
-        sessions = {
-            "a": self._session(opened_at=0),
-            "b": self._session(opened_at=100),
-            "c": self._session(opened_at=500_000),
-        }
-        sessions["b"].session_id = "b"
-        dropped = expire_sessions(sessions, now=600_100)
-        assert dropped == 2
-        assert set(sessions) == {"c"}
 
     def test_simulated_session_expires_at_ttl(self):
         sim = build_care_sim()

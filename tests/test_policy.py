@@ -6,11 +6,11 @@ import pytest
 
 from careledger.errors import PolicyError
 from careledger.exchange import submit_request
-from careledger.ledger import Category, Kind, PrincipalId, quorum
+from careledger.ledger import Category, GrantAccess, Kind, PrincipalId, RegisterPrincipal, quorum
 from careledger.policy import Reason, Verdict, evaluate_request, make_emergency_access
 from careledger.simnet import SimConfig, spawn_network
 
-from conftest import build_care_sim
+from conftest import build_care_sim, propose, signed
 from oracles import oracle_evaluate
 
 P = PrincipalId
@@ -122,6 +122,71 @@ class TestGrants:
         sim = build_care_sim()
         with pytest.raises(PolicyError):
             sim.revoke_access("p002", "g001")
+
+
+def self_grant(sim):
+    """nurse1 grants itself notes on p001's plan, signing as itself."""
+    nurse = P(Kind.PRACTITIONER, "nurse1")
+    payload = GrantAccess("gX", "plan1", P(Kind.PATIENT, "p001"), nurse, frozenset({Category.NOTES}), 0, 10**9)
+    return signed(sim, nurse, P(Kind.ORGANIZATION, "homecare"), payload)
+
+
+class TestLedgerEnforcedRules:
+    """The ledger refuses what the builders used to refuse, whoever builds the tx."""
+
+    def test_self_grant_refused_as_not_author(self):
+        sim = build_care_sim()
+        with pytest.raises(PolicyError) as err:
+            sim._submit_tx(sim.nodes["homecare"], self_grant(sim))
+        assert err.value.rule == "not_author"
+        sim.settle()
+        assert "gX" not in _ids(sim).grants
+        d = _decide(sim, at=5000, category=Category.NOTES)
+        assert (d.verdict, d.reason) == (Verdict.DENY, Reason.OUT_OF_SCOPE)
+
+    def test_reregistration_refused_and_nodes_stay_level(self):
+        sim = build_care_sim()
+        p002, hospital = P(Kind.PATIENT, "p002"), P(Kind.ORGANIZATION, "hospital")
+        tx = signed(sim, p002, hospital, RegisterPrincipal(p002, _ids(sim).principals[p002]))
+        with pytest.raises(PolicyError) as err:
+            sim._submit_tx(sim.nodes["hospital"], tx)
+        assert err.value.rule == "duplicate"
+        # Gossiped anyway, a peer drops it at admission.
+        sim._schedule(0, "deliver", ("hospital", "homecare", {"type": "tx", "tx": tx}))
+        sim.settle()
+        assert {n.ledger.height for n in sim.nodes.values()} == {6}
+        drops = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert drops == [{"to": "homecare", "type": "tx", "dropped": "duplicate", "tx": tx.tx_id.hex()}]
+
+    def test_proposal_carrying_a_self_grant_dropped_as_not_author(self):
+        sim = build_care_sim()
+        events = propose(sim, "hospital", "homecare", [self_grant(sim)])
+        assert ("msg_delivered", {"to": "homecare", "type": "propose", "dropped": "not_author"}) in events
+        assert not any(kind == "block_endorsed" for kind, _ in events)
+
+    def test_refused_practitioner_reregistration_keeps_key_and_host(self):
+        sim = build_care_sim()
+        nurse = P(Kind.PRACTITIONER, "nurse1")
+        key = sim.private_keys[nurse]
+        with pytest.raises(PolicyError):
+            sim.register_practitioner("nurse1", "hospital")
+        assert sim.private_keys[nurse] == key
+        assert sim.host_org["nurse1"] == "homecare"
+        sim.add_record("hospital", "p001", Category.VITALS, 10, "BP 120/80", "x")
+        outcome = submit_request(
+            sim, nurse, P(Kind.ORGANIZATION, "homecare"), P(Kind.ORGANIZATION, "hospital"),
+            P(Kind.PATIENT, "p001"), Category.VITALS,
+        )
+        assert outcome.decision.verdict is Verdict.ALLOW
+        assert len(outcome.session.records) == 1
+
+    def test_refused_patient_reregistration_keeps_vault_rows(self):
+        sim = build_care_sim()
+        rows = {name: node.store.vault["p002"] for name, node in sim.nodes.items()}
+        with pytest.raises(PolicyError):
+            sim.register_person(Kind.PATIENT, "p002")
+        assert {name: node.store.vault["p002"] for name, node in sim.nodes.items()} == rows
+        assert sim.identity_rows["p002"] == rows["hospital"]
 
 
 def _decide(sim, at, category=Category.VITALS, requester="nurse1", requester_org="homecare",

@@ -45,7 +45,8 @@ class TestConsensusRound:
     def test_four_orgs_commit_with_quorum_endorsements(self):
         sim = spawn_network(["a", "b", "c", "d"], SimConfig(seed=2))
         sim.register_person(Kind.PATIENT, "p1")
-        block = sim.run_consensus_round()
+        sim.settle()
+        block = sim.last_committed
         assert block is not None
         assert len(block.endorsements) >= quorum(4) == 3
         for node in sim.nodes.values():
@@ -56,8 +57,8 @@ class TestConsensusRound:
         sim.inject_fault("c", "down")
         sim.inject_fault("d", "down")
         sim.register_person(Kind.PATIENT, "p1")
-        block = sim.run_consensus_round()
-        assert block is None
+        sim.settle()
+        assert sim.last_committed is None
         assert all(n.ledger.height == 0 for n in sim.nodes.values())
         assert sim.nodes["a"].mempool or sim.nodes["b"].mempool
 
