@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import crypto
-from .codec import Writer
+from .codec import U32, Seq, Str, Struct, Writer, wire
 from .errors import ConsentError
 from .ledger import (
     ConsentInvited,
@@ -34,14 +34,14 @@ PASS_MISTAKE_LIMIT = 0  # passing means zero mistakes on a single attempt
 
 @dataclass(frozen=True)
 class Question:
-    prompt: str
-    choices: tuple[str, ...]
-    correct: int
+    prompt: str = wire(Str())
+    choices: tuple[str, ...] = wire(Seq(Str()))
+    correct: int = wire(U32)
 
 
 @dataclass(frozen=True)
 class Quiz:
-    questions: tuple[Question, ...]
+    questions: tuple[Question, ...] = wire(Seq(Struct(Question)))
 
     def __post_init__(self) -> None:
         if not self.questions:
@@ -65,16 +65,11 @@ class Quiz:
         return [i for i, (a, q) in enumerate(zip(answers, self.questions)) if a != q.correct]
 
 
+_QUIZ = Struct(Quiz)
+
+
 def quiz_hash(quiz: Quiz) -> bytes:
-    w = Writer()
-    w.u32(len(quiz.questions))
-    for q in quiz.questions:
-        w.string(q.prompt)
-        w.u32(len(q.choices))
-        for c in q.choices:
-            w.string(c)
-        w.u32(q.correct)
-    return crypto.sha256(w.getvalue())
+    return crypto.sha256(_QUIZ.encode(quiz))
 
 
 def parse_quiz(lines: Iterable[str]) -> Quiz:

@@ -446,16 +446,17 @@ def block_hash(block: Block) -> bytes:
 
 def build_block(
     pending: list[Transaction],
-    prev: Block,
+    prev: Optional[Block],
     proposer: PrincipalId,
     timestamp: int,
     registry: dict[PrincipalId, bytes],
 ) -> Block:
-    """A block of `first_writes(pending)`; the rest stay pending."""
+    """A block of `first_writes(pending)` after `prev` (genesis when None);
+    the rest stay pending."""
     txs = first_writes(pending)
     block = Block(
-        height=prev.height + 1,
-        prev_hash=prev.hash,
+        height=0 if prev is None else prev.height + 1,
+        prev_hash=ZERO_HASH if prev is None else prev.hash,
         timestamp=timestamp,
         proposer=proposer,
         tx_root=compute_tx_root(txs),

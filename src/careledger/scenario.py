@@ -291,29 +291,21 @@ class ScenarioRunner:
 def run_scenario(
     text: str,
     config: Optional[SimConfig] = None,
-    orgs: Optional[list[str]] = None,
     base_dir: Optional[Path] = None,
 ) -> tuple[Simulation, list[str]]:
     """Execute a script and return (simulation, printed output lines).
 
-    Founding organizations come from leading `org add` lines when `orgs` is
-    not given; those lines then seed the genesis block.
+    Founding organizations come from leading `org add` lines, or are
+    DEFAULT_ORGS when there are none; they seed the genesis block.
     """
     commands = parse_script(text)
-    founding = list(orgs) if orgs is not None else []
-    rest = commands
-    if orgs is None:
-        rest = []
-        founders_done = False
-        for cmd in commands:
-            if not founders_done and cmd.words[:2] == ["org", "add"] and len(cmd.words) == 3:
-                founding.append(cmd.words[2])
-            else:
-                founders_done = True
-                rest.append(cmd)
-        if not founding:
-            founding = list(DEFAULT_ORGS)
-    sim = spawn_network(founding, config or SimConfig())
+    founding, rest = [], []
+    for cmd in commands:
+        if not rest and cmd.words[:2] == ["org", "add"] and len(cmd.words) == 3:
+            founding.append(cmd.words[2])
+        else:
+            rest.append(cmd)
+    sim = spawn_network(founding or list(DEFAULT_ORGS), config or SimConfig())
     runner = ScenarioRunner(sim, base_dir=base_dir)
     runner.run(rest)
     return sim, runner.outputs

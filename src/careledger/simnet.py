@@ -18,9 +18,16 @@ online member checks the proposal and endorses the header digest, and the
 block commits once floor(2n/3)+1 endorsements are collected. The quorum
 vouches for the transaction rules, so commits and replays check the chain
 rules only. Rounds that cannot reach quorum abort and leave their
-transactions pending; returning nodes replay missed blocks from a peer
-before taking new messages, checking each one as a commit is checked and
-stopping at the first that fails.
+transactions pending.
+
+Every block a node takes goes through one `_commit`: genesis, the
+proposer's own commit, a `commit` message, and replay. One `_replay` serves
+a returning node (before it takes new messages), a node that receives
+commits out of order, and the node of a newly registered organization: it
+takes the missing blocks from a peer's chain (the highest online node's, or
+for a new organization the chain of the node that committed its
+registration), checks each one as a commit is checked, and stops at the
+first that fails.
 """
 
 from __future__ import annotations
@@ -49,11 +56,9 @@ from .ledger import (
     PrincipalId,
     RegisterPrincipal,
     Transaction,
-    ZERO_HASH,
     build_block,
     check_block,
     check_proposal,
-    compute_tx_root,
     endorse_block,
     quorum,
     sign_tx,
@@ -154,15 +159,21 @@ def _check_tx(node: Node, tx: Transaction) -> Optional[CareLedgerError]:
     return node.policy.check(tx) or node.consent.check(tx, node.policy.principals)
 
 
+def _sealed(block: Block, endorsements: dict[str, bytes]) -> Block:
+    """`block` carrying `endorsements` (org id -> signature), sorted by org."""
+    return replace(
+        block,
+        endorsements=tuple((PrincipalId(Kind.ORGANIZATION, org), sig) for org, sig in sorted(endorsements.items())),
+    )
+
+
 @dataclass
 class RoundState:
     round_id: int
-    height: int
     proposer: str
     block: Block
     needed: int
     endorsements: dict[str, bytes] = field(default_factory=dict)
-    committed: bool = False
 
 
 @dataclass
@@ -171,10 +182,6 @@ class RequestState:
     requester: PrincipalId
     requester_org: str
     sender_org: str
-    patient: PrincipalId
-    category: Category
-    emergency: bool
-    stage: str = "submitted"  # submitted | notified | completed | delivered
     decision: Optional[Decision] = None
     session_org: Optional[str] = None
     session_id: Optional[str] = None
@@ -188,7 +195,6 @@ class MatchState:
     study: Optional[str]
     outstanding: set[str] = field(default_factory=set)
     matched: set[str] = field(default_factory=set)
-    done: bool = False
 
 
 _TIMER_FNS = frozenset({"session_expiry"})
@@ -235,36 +241,14 @@ class Simulation:
             private, public = crypto.generate_keypair(self.rng)
             self.private_keys[principal] = private
             self.nodes[name] = Node(org=principal)
-            tx = Transaction(
-                timestamp=0,
-                author=principal,
-                author_org=principal,
-                payload=RegisterPrincipal(principal, public),
-            )
-            registrations.append(sign_tx(tx, private))
-        for tx in registrations:
-            self._trace("tx_submitted", {"org": tx.author_org.id, "action": tx.action, "tx": tx.tx_id.hex()})
-        txs = tuple(registrations)
-        genesis = Block(
-            height=0,
-            prev_hash=ZERO_HASH,
-            timestamp=0,
-            proposer=PrincipalId(Kind.ORGANIZATION, orgs[0]),
-            tx_root=compute_tx_root(txs),
-            transactions=txs,
-        )
-        self._trace(
-            "block_proposed",
-            {"height": 0, "proposer": orgs[0], "txs": len(txs), "hash": genesis.hash.hex()},
-        )
-        endorsements = []
-        for name in orgs:
-            principal = PrincipalId(Kind.ORGANIZATION, name)
-            endorsements.append((principal, endorse_block(genesis, self.private_keys[principal])))
-            self._trace("block_endorsed", {"height": 0, "org": name})
-        genesis = replace(genesis, endorsements=tuple(sorted(endorsements, key=lambda e: e[0].id)))
-        for name in orgs:
-            self._node_apply_block(self.nodes[name], genesis)
+            tx = sign_tx(Transaction(0, principal, principal, RegisterPrincipal(principal, public)), private)
+            self._trace("tx_submitted", {"org": name, "action": tx.action, "tx": tx.tx_id.hex()})
+            registrations.append(tx)
+        genesis = build_block(registrations, None, registrations[0].author, 0, {})
+        self._trace_proposed(genesis)
+        genesis = _sealed(genesis, {name: self._endorse(node, genesis) for name, node in self.nodes.items()})
+        for node in self.nodes.values():
+            self._commit(node, genesis)
 
     # -- trace and event plumbing -------------------------------------------
 
@@ -320,9 +304,12 @@ class Simulation:
         self._trace("msg_sent", self._msg_detail(from_org, to_org, message))
         self._schedule(self._latency(), "deliver", (from_org, to_org, message))
 
-    # -- node state fold ------------------------------------------------------
+    # -- commit and replay -----------------------------------------------------
 
-    def _node_apply_block(self, node: Node, block: Block, sync: bool = False) -> None:
+    def _commit(self, node: Node, block: Block, sync: bool = False) -> None:
+        """Fold `block` into `node` and act on it: drop the pending txs it
+        invalidated, provision a node for each organization it registers,
+        forward the data requests `node` made, and retry deferred ones."""
         node.ledger.append(block)
         for pos, tx in enumerate(block.transactions):
             node.policy.apply(tx, block.height, pos)
@@ -341,9 +328,6 @@ class Simulation:
                 if violation is not None:
                     del node.mempool[tx.tx_id]
                     self._trace("tx_dropped", {"org": node.org.id, "tx": tx.tx_id.hex(), "rule": violation.rule})
-
-    def _on_block_committed(self, node: Node, block: Block, sync: bool = False) -> None:
-        self._node_apply_block(node, block, sync=sync)
         for tx in block.transactions:
             payload = tx.payload
             if (
@@ -351,70 +335,55 @@ class Simulation:
                 and payload.subject.kind is Kind.ORGANIZATION
                 and payload.subject.id not in self.nodes
             ):
-                self._provision_node(payload.subject, source=node)
+                fresh = self.nodes[payload.subject.id] = Node(org=payload.subject)
+                for patient, row in self.identity_rows.items():
+                    fresh.store.vault[patient] = VaultRow(row.salt, row.true_id)
+                self._replay(fresh, node)
+                self._trace("node_up", {"org": fresh.org.id, "provisioned": True})
+            # Each node commits a block once, so this request goes out once.
             state = self.requests.get(tx.tx_id)
-            if (
-                state is not None
-                and state.stage == "submitted"
-                and node.org.id == state.requester_org
-            ):
-                state.stage = "notified"
-                self._send(
-                    state.requester_org,
-                    state.sender_org,
-                    {"type": "data_request", "request_tx_id": tx.tx_id},
-                )
+            if state is not None and node.org.id == state.requester_org:
+                self._send(state.requester_org, state.sender_org, {"type": "data_request", "request_tx_id": tx.tx_id})
         if node.deferred_requests:
             pending, node.deferred_requests = node.deferred_requests, []
             for request_tx_id in pending:
                 self._process_data_request(node, request_tx_id)
         self._maybe_schedule_attempt()
 
-    def _provision_node(self, org: PrincipalId, source: Node) -> None:
-        fresh = Node(org=org)
-        for patient, row in self.identity_rows.items():
-            fresh.store.vault[patient] = VaultRow(row.salt, row.true_id)
-        self.nodes[org.id] = fresh
-        for block in source.ledger.blocks:
-            if not self._replayable(fresh, source, block):
-                break
-            self._node_apply_block(fresh, block, sync=True)
-        self._trace("node_up", {"org": org.id, "provisioned": True})
-
-    def _replayable(self, node: Node, source: Node, block: Block) -> bool:
-        """Check a block `node` replays from `source`'s chain as a commit is
-        checked; trace the drop when it fails."""
-        prev = node.ledger.blocks[-1] if node.ledger.blocks else None
-        violation = check_block(prev, block, node.policy.principals, node.policy.quorum_members())
-        if violation is None:
-            return True
-        self._trace(
-            "msg_delivered",
-            {"to": node.org.id, "from": source.org.id, "type": "sync", "dropped": violation.rule},
-        )
-        return False
+    def _replay(self, node: Node, source: Node) -> None:
+        """Commit the blocks of `source`'s chain that `node` lacks, each checked
+        as a commit is checked; the first that fails stops the replay and is
+        traced as a dropped `sync` message."""
+        for block in source.ledger.blocks[node.ledger.height + 1 :]:
+            prev = node.ledger.blocks[-1] if node.ledger.blocks else None
+            violation = check_block(prev, block, node.policy.principals, node.policy.quorum_members())
+            if violation is not None:
+                self._trace(
+                    "msg_delivered",
+                    {"to": node.org.id, "from": source.org.id, "type": "sync", "dropped": violation.rule},
+                )
+                return
+            self._commit(node, block, sync=True)
 
     # -- consensus ------------------------------------------------------------
 
-    def _members_basis(self) -> Optional[Node]:
-        best: Optional[Node] = None
-        for name in self.nodes:
-            node = self.nodes[name]
-            if node.online and (best is None or node.ledger.height > best.ledger.height):
-                best = node
-        return best
+    def _highest_online(self) -> Optional[Node]:
+        """The online node with the longest chain, the first of equals."""
+        return max((n for n in self.nodes.values() if n.online), key=lambda n: n.ledger.height, default=None)
+
+    def _quorum_basis(self) -> Optional[Node]:
+        """The highest online node, when a quorum of its members is online."""
+        basis = self._highest_online()
+        if basis is None:
+            return None
+        members = basis.policy.quorum_members()
+        online = sum(self.nodes[m.id].online for m in members)
+        return basis if online >= quorum(len(members)) else None
 
     def _maybe_schedule_attempt(self) -> None:
         if self.round is not None or self._attempt_scheduled:
             return
-        if not any(n.online and n.mempool for n in self.nodes.values()):
-            return
-        basis = self._members_basis()
-        if basis is None:
-            return
-        members = basis.policy.quorum_members()
-        online = [m for m in members if self.nodes[m.id].online]
-        if len(online) < quorum(len(members)):
+        if not any(n.online and n.mempool for n in self.nodes.values()) or self._quorum_basis() is None:
             return
         boundary = (self.clock // self.config.block_interval + 1) * self.config.block_interval
         self._schedule(boundary - self.clock, "consensus_attempt", ())
@@ -422,35 +391,18 @@ class Simulation:
 
     def _ev_consensus_attempt(self) -> None:
         self._attempt_scheduled = False
-        if self.round is not None:
-            return
-        basis = self._members_basis()
+        basis = self._quorum_basis() if self.round is None else None
         if basis is None:
             return
         members = basis.policy.quorum_members()
-        needed = quorum(len(members))
-        online = [m for m in members if self.nodes[m.id].online]
-        if len(online) < needed:
-            return
         height = basis.ledger.height + 1
-        proposer: Optional[Node] = None
-        for k in range(len(members)):
-            candidate = members[(height + k) % len(members)]
-            if self.nodes[candidate.id].online:
-                proposer = self.nodes[candidate.id]
-                break
-        if proposer is None:
-            return
-        if proposer.ledger.height != basis.ledger.height:
+        turn = height % len(members)
+        proposer = next(self.nodes[m.id] for m in members[turn:] + members[:turn] if self.nodes[m.id].online)
+        if proposer.ledger.height != basis.ledger.height or not proposer.mempool:
             # The proposer has not seen the newest commit yet (possible when
-            # the block interval undercuts message latency). Proposing from a
-            # stale tip could re-propose a committed height; wait for the
-            # in-flight commit instead.
-            self._maybe_schedule_attempt()
-            return
-        if not proposer.mempool:
-            # Gossip may still be in flight toward the proposer; its arrival
-            # will schedule the next attempt.
+            # the block interval undercuts message latency), and proposing
+            # from a stale tip could re-propose a committed height; or gossip
+            # is still in flight toward it. Try again at the next boundary.
             self._maybe_schedule_attempt()
             return
         block = build_block(
@@ -461,29 +413,13 @@ class Simulation:
             proposer.policy.principals,
         )
         self._round_ids += 1
-        state = RoundState(
-            round_id=self._round_ids,
-            height=block.height,
-            proposer=proposer.org.id,
-            block=block,
-            needed=needed,
-        )
+        state = RoundState(self._round_ids, proposer.org.id, block, quorum(len(members)))
         self.round = state
-        self._trace(
-            "block_proposed",
-            {
-                "height": block.height,
-                "proposer": proposer.org.id,
-                "txs": len(block.transactions),
-                "hash": block.hash.hex(),
-            },
-        )
+        self._trace_proposed(block)
         # The proposer endorses locally; the other online members by message.
         # Ed25519 is deterministic, so its endorsement doubles as its
         # signature on the proposal.
-        proposer_sig = endorse_block(block, self.private_keys[proposer.org])
-        state.endorsements[proposer.org.id] = proposer_sig
-        self._trace("block_endorsed", {"height": block.height, "org": proposer.org.id})
+        proposer_sig = state.endorsements[proposer.org.id] = self._endorse(proposer, block)
         for member in members:
             if member.id == proposer.org.id or not self.nodes[member.id].online:
                 continue
@@ -504,26 +440,28 @@ class Simulation:
         self._check_round_commit()
 
     def _ev_round_timeout(self, round_id: int) -> None:
-        if self.round is None or self.round.round_id != round_id or self.round.committed:
+        if self.round is None or self.round.round_id != round_id:
             return
         self.round = None
         self._maybe_schedule_attempt()
 
+    def _trace_proposed(self, block: Block) -> None:
+        txs, proposer = len(block.transactions), block.proposer.id
+        self._trace("block_proposed", {"height": block.height, "proposer": proposer, "txs": txs, "hash": block.hash.hex()})
+
+    def _endorse(self, node: Node, block: Block) -> bytes:
+        self._trace("block_endorsed", {"height": block.height, "org": node.org.id})
+        return endorse_block(block, self.private_keys[node.org])
+
     def _check_round_commit(self) -> None:
         state = self.round
-        if state is None or state.committed or len(state.endorsements) < state.needed:
+        if state is None or len(state.endorsements) < state.needed:
             return
-        state.committed = True
-        endorsements = tuple(
-            (PrincipalId(Kind.ORGANIZATION, org), sig)
-            for org, sig in sorted(state.endorsements.items())
-        )
-        final = replace(state.block, endorsements=endorsements)
-        self.last_committed = final
+        self.round = None
+        final = self.last_committed = _sealed(state.block, state.endorsements)
         proposer = self.nodes[state.proposer]
         members = [m.id for m in proposer.policy.quorum_members()]
-        self.round = None
-        self._on_block_committed(proposer, final)
+        self._commit(proposer, final)
         for org_id in members:
             if org_id == state.proposer:
                 continue
@@ -570,34 +508,19 @@ class Simulation:
             if violation is None:  # the pending txs passed already
                 unchecked = (tx for tx in block.transactions if tx.tx_id not in node.mempool)
                 violation = next(filter(None, (_check_tx(node, tx) for tx in unchecked)), None)
-            elif violation.rule in ("height", "prev_hash"):
-                return  # this node lags the proposer's tip; the block itself may be sound
             dropped = getattr(violation, "rule", None)
         if dropped is not None:
             self._trace("msg_delivered", {"to": node.org.id, "type": "propose", "dropped": dropped})
             return
-        self._trace("block_endorsed", {"height": block.height, "org": node.org.id})
         self._send(
             node.org.id,
             from_org,
-            {
-                "type": "endorse",
-                "round_id": message["round_id"],
-                "height": block.height,
-                "block_hash": block.hash,
-                "org": node.org,
-                "sig": endorse_block(block, self.private_keys[node.org]),
-            },
+            {"type": "endorse", "round_id": message["round_id"], "org": node.org, "sig": self._endorse(node, block)},
         )
 
     def _on_endorse(self, node: Node, from_org: str, message: dict) -> None:
         state = self.round
-        if (
-            state is None
-            or state.round_id != message["round_id"]
-            or state.proposer != node.org.id
-            or state.committed
-        ):
+        if state is None or state.round_id != message["round_id"] or state.proposer != node.org.id:
             return
         org: PrincipalId = message["org"]
         key = node.policy.principals.get(org)
@@ -614,27 +537,18 @@ class Simulation:
 
     def _on_commit(self, node: Node, from_org: str, message: dict) -> None:
         block: Block = message["block"]
-        if block.height <= node.ledger.height:
-            return
-        if block.height != node.ledger.height + 1:
+        if block.height > node.ledger.height + 1:
             # Commits can arrive out of order when latency exceeds the block
             # interval; pull the missing blocks from a peer instead of
             # dropping this one.
-            self._sync_node(node)
-            if block.height <= node.ledger.height:
-                return
-            if block.height != node.ledger.height + 1:
-                return
-        violation = check_block(
-            node.ledger.tip(), block, node.policy.principals, node.policy.quorum_members()
-        )
-        if violation is not None:
-            self._trace(
-                "msg_delivered",
-                {"to": node.org.id, "type": "commit", "dropped": violation.rule},
-            )
+            self._replay(node, self._highest_online())
+        if block.height != node.ledger.height + 1:
             return
-        self._on_block_committed(node, block)
+        violation = check_block(node.ledger.tip(), block, node.policy.principals, node.policy.quorum_members())
+        if violation is not None:
+            self._trace("msg_delivered", {"to": node.org.id, "type": "commit", "dropped": violation.rule})
+            return
+        self._commit(node, block)
 
     # -- transaction submission ---------------------------------------------
 
@@ -653,9 +567,7 @@ class Simulation:
         result = verify_tx(tx, via.policy.principals)
         if not result:
             raise SimError(f"refusing unverifiable transaction: {result.reason}")
-        self._trace(
-            "tx_submitted", {"org": via.org.id, "action": tx.action, "tx": tx.tx_id.hex()}
-        )
+        self._trace("tx_submitted", {"org": via.org.id, "action": tx.action, "tx": tx.tx_id.hex()})
         via.mempool[tx.tx_id] = tx
         for name in self.nodes:
             if name != via.org.id:
@@ -668,7 +580,12 @@ class Simulation:
         return self._submit_tx(via, sign_tx(tx, self.private_keys[author]))
 
     def _register(self, via: Node, author_org: PrincipalId, payload: RegisterPrincipal, key: bytes) -> Transaction:
-        """Submit a registration the subject's new key signs; keep the key once it is accepted."""
+        """Submit a registration the subject's new key signs; keep the key once it is accepted.
+
+        A registration of the same id accepted earlier, even one not yet
+        committed, refuses this one: its key is the one that will commit."""
+        if payload.subject in self.private_keys:
+            raise PolicyError.refuse("duplicate", f"duplicate id: {payload.subject} is already registered")
         tx = self._submit_tx(via, sign_tx(Transaction(self.clock, payload.subject, author_org, payload), key))
         self.private_keys[payload.subject] = key
         return tx
@@ -803,15 +720,7 @@ class Simulation:
             requester, requester_org, sender_org, patient, category, emergency
         )
         tx = self._sign_and_submit(node, requester, requester_org, payload)
-        self.requests[tx.tx_id] = RequestState(
-            request_tx=tx.tx_id,
-            requester=requester,
-            requester_org=requester_org.id,
-            sender_org=sender_org.id,
-            patient=patient,
-            category=category,
-            emergency=emergency,
-        )
+        self.requests[tx.tx_id] = RequestState(tx.tx_id, requester, requester_org.id, sender_org.id)
         return tx.tx_id
 
     def _on_data_request(self, node: Node, from_org: str, message: dict) -> None:
@@ -837,7 +746,6 @@ class Simulation:
         state = self.requests.get(request_tx_id)
         if state is not None:
             state.decision = decision
-            state.stage = "completed"
         detail = {
             "org": node.org.id,
             "request": request_tx_id.hex(),
@@ -897,7 +805,6 @@ class Simulation:
         node.sessions[session_id] = session
         state = self.requests.get(request_tx_id)
         if state is not None:
-            state.stage = "delivered"
             state.session_org = node.org.id
             state.session_id = session_id
         self._trace(
@@ -1050,8 +957,6 @@ class Simulation:
                     "reply_to": via.org.id,
                 },
             )
-        if not state.outstanding:
-            state.done = True
         return match_id
 
     def _on_match_challenge(self, node: Node, from_org: str, message: dict) -> None:
@@ -1081,7 +986,7 @@ class Simulation:
 
     def _on_match_response(self, node: Node, from_org: str, message: dict) -> None:
         state = self.matches.get(message["match_id"])
-        if state is None or state.done:
+        if state is None:
             return
         pid = message["participant"]
         if pid not in state.outstanding:
@@ -1096,14 +1001,12 @@ class Simulation:
             }
             if proven.issuperset(state.descriptors):
                 state.matched.add(pid)
-        if not state.outstanding:
-            state.done = True
 
     def match_result(self, match_id: int) -> list[str]:
         state = self.matches.get(match_id)
         if state is None:
             raise SimError("unknown match")
-        if not state.done:
+        if state.outstanding:
             raise SimError("match still outstanding")
         return sorted(state.matched)
 
@@ -1133,26 +1036,11 @@ class Simulation:
             raise SimError(f"{org_id} is already up")
         node.online = True
         self._trace("node_up", {"org": org_id})
-        self._sync_node(node)
+        self._replay(node, self._highest_online())
         parked, node.parked = node.parked, []
         for from_org, message in parked:
             self._schedule(self._latency(), "deliver", (from_org, org_id, message))
         self._maybe_schedule_attempt()
-
-    def _sync_node(self, node: Node) -> None:
-        best: Optional[Node] = None
-        for name in self.nodes:
-            peer = self.nodes[name]
-            if peer is node or not peer.online:
-                continue
-            if best is None or peer.ledger.height > best.ledger.height:
-                best = peer
-        if best is None:
-            return
-        for block in best.ledger.blocks[node.ledger.height + 1 :]:
-            if not self._replayable(node, best, block):
-                return
-            self._on_block_committed(node, block, sync=True)
 
     # -- invariants and snapshots ---------------------------------------------
 

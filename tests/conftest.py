@@ -56,12 +56,14 @@ def signed(sim, author, author_org, payload, at=None):
     return sign_tx(tx, sim.private_keys[author])
 
 
-def propose(sim, proposer: str, to: str, txs) -> list:
-    """Deliver to `to` a proposal of `txs` that `proposer` signed, bypassing
-    its block building; return the (kind, detail) events that followed."""
+def propose(sim, proposer: str, to: str, txs, height=None) -> list:
+    """Deliver to `to` a proposal of `txs` that `proposer` signed at `height`
+    (default: after its tip), bypassing its block building; return the
+    (kind, detail) events that followed."""
     node = sim.nodes[proposer]
     prev = node.ledger.tip()
-    block = Block(prev.height + 1, prev.hash, sim.clock, node.org, compute_tx_root(txs), tuple(txs))
+    height = prev.height + 1 if height is None else height
+    block = Block(height, prev.hash, sim.clock, node.org, compute_tx_root(txs), tuple(txs))
     message = {"type": "propose", "round_id": 0, "block": block,
                "proposer_sig": endorse_block(block, sim.private_keys[node.org])}
     since = len(sim.trace)

@@ -513,15 +513,34 @@ ALL_ACTIONS = {
 }
 
 
+# A block interval far below message latency: proposers that lag the newest
+# commit, commits that arrive out of order, catch-up replay and provisioning.
+HOSTILE = ["--latency-min", "40", "--latency-max", "90", "--block-interval", "10"]
+GOLDEN_HOSTILE = {
+    "case1_fault": (
+        "ea2de026794c771ddf7dca4aadc82f00d807a6901c94dfbcb786c2a086873dcb",
+        "a0e0abc744ece68a4933614de425042cf660cf7a282225a92410c1aea53a1370",
+        "4492b6333c14b7c08f7ce124204802c2d15166046dad42da0c4541484dcc8103",
+    ),
+    "membership": (
+        "9c5ca7f984e321e8aefde2003ea3c94a636607291d270114954b864d4ebce9ab",
+        "6c39b468df5cbae0cfcd2030621c2726d854d154c7964f07b79505e2aa4e5d7c",
+        "491027589a0ff40e12f26f7386dca2d114880beb3cf7cf0ffb67e107263d819f",
+    ),
+}
+
+
 class TestGoldenPins:
     def test_fixture_ledgers_and_audit_output_are_pinned(self, tmp_path, capsys):
         actions = set()
-        for name, (ledger_digest, audit_digest, trace_digest) in GOLDEN.items():
-            out = tmp_path / name
-            assert main(["run", str(FIXTURES / f"{name}.scn"), "--seed", "42", "--out", str(out)]) == 0
+        runs = [(name, [], pins) for name, pins in GOLDEN.items()]
+        runs += [(name, HOSTILE, pins) for name, pins in GOLDEN_HOSTILE.items()]
+        for name, options, (ledger_digest, audit_digest, trace_digest) in runs:
+            out = tmp_path / name / str(len(options))
+            assert main(["run", str(FIXTURES / f"{name}.scn"), "--seed", "42", "--out", str(out), *options]) == 0
             capsys.readouterr()
             trace = (out / "trace.tsv").read_bytes()
-            assert hashlib.sha256(trace).hexdigest() == trace_digest, name
+            assert hashlib.sha256(trace).hexdigest() == trace_digest, (name, options)
             ledgers = sorted(out.glob("*.ledger"))
             assert ledgers, name
             for path in ledgers:

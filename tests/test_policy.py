@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from careledger import crypto
 from careledger.errors import PolicyError
 from careledger.exchange import submit_request
 from careledger.ledger import Category, GrantAccess, Kind, PrincipalId, RegisterPrincipal, quorum
@@ -187,6 +188,22 @@ class TestLedgerEnforcedRules:
             sim.register_person(Kind.PATIENT, "p002")
         assert {name: node.store.vault["p002"] for name, node in sim.nodes.items()} == rows
         assert sim.identity_rows["p002"] == rows["hospital"]
+
+    def test_concurrent_registration_of_one_id_keeps_the_first(self):
+        sim = build_care_sim()
+        nurse = P(Kind.PRACTITIONER, "nurse2")
+        sim.register_practitioner("nurse2", "homecare")
+        key = sim.private_keys[nurse]
+        # Accepted at homecare but not yet committed: the second one must not
+        # replace the key and host the first one commits with.
+        with pytest.raises(PolicyError) as err:
+            sim.register_practitioner("nurse2", "hospital")
+        assert err.value.rule == "duplicate"
+        sim.settle()
+        assert sim.private_keys[nurse] == key
+        assert sim.host_org["nurse2"] == "homecare"
+        proof = crypto.sign(key, b"nurse2")
+        assert all(crypto.verify(n.policy.principals[nurse], proof, b"nurse2") for n in sim.nodes.values())
 
 
 def _decide(sim, at, category=Category.VITALS, requester="nurse1", requester_org="homecare",

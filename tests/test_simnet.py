@@ -10,7 +10,7 @@ from careledger.ledger import Category, Kind, PrincipalId, quorum, validate_chai
 from careledger.scenario import parse_script, run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
-from conftest import build_care_sim
+from conftest import build_care_sim, propose
 
 P = PrincipalId
 
@@ -265,14 +265,7 @@ class TestForgeryResistance:
         state = sim.round
         if state is None:  # round may have finished already at low latency
             pytest.skip("round completed before interference was possible")
-        forged = {
-            "type": "endorse",
-            "round_id": state.round_id,
-            "height": state.height,
-            "block_hash": state.block.hash,
-            "org": P(Kind.ORGANIZATION, "b"),
-            "sig": b"\x00" * 64,
-        }
+        forged = {"type": "endorse", "round_id": state.round_id, "org": P(Kind.ORGANIZATION, "b"), "sig": bytes(64)}
         sim._schedule(0, "deliver", ("b", state.proposer, forged))
         sim.settle()
         dropped = [
@@ -304,6 +297,15 @@ class TestForgeryResistance:
         assert sim.nodes["d"].ledger.height == 0
         dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
         assert dropped == [{"to": "d", "type": "commit", "dropped": rule}]
+
+
+class TestProposalDrops:
+    def test_proposal_at_wrong_height_dropped_by_rule(self):
+        sim = build_care_sim()
+        tip = sim.nodes["hospital"].ledger.height
+        events = propose(sim, "hospital", "homecare", [], height=tip + 2)
+        assert events[-1] == ("msg_delivered", {"to": "homecare", "type": "propose", "dropped": "height"})
+        assert not any(kind == "block_endorsed" for kind, _ in events)
 
 
 def _forge_first_endorsement(sim, height: int) -> None:
