@@ -69,41 +69,73 @@ class Writer:
         return b"".join(self._parts)
 
 
+def utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid UTF-8 in string field") from exc
+
+
 class Reader:
-    __slots__ = ("_data", "_pos")
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        self._end = len(data)
+
+    # The primitives read straight from the buffer rather than through one
+    # another: a ledger read decodes a few hundred fields per block.
 
     def _take(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._data):
+        pos = self._pos
+        end = pos + n
+        if end > self._end:
             raise EncodingError("input truncated")
-        chunk = self._data[self._pos : end]
         self._pos = end
-        return chunk
+        return self._data[pos:end]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self._pos
+        if pos >= self._end:
+            raise EncodingError("input truncated")
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        pos = self._pos
+        end = pos + 4
+        if end > self._end:
+            raise EncodingError("input truncated")
+        self._pos = end
+        return int.from_bytes(self._data[pos:end], "big")
 
     def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
+        pos = self._pos
+        end = pos + 8
+        if end > self._end:
+            raise EncodingError("input truncated")
+        self._pos = end
+        return int.from_bytes(self._data[pos:end], "big")
 
-    def raw(self, width: int) -> bytes:
-        return self._take(width)
+    raw = _take
+
+    def sized(self, bound: int = MAX_STRING) -> bytes:
+        """A u32 length of at most `bound`, then that many bytes."""
+        data, pos = self._data, self._pos
+        start = pos + 4
+        if start > self._end:
+            raise EncodingError("input truncated")
+        end = start + int.from_bytes(data[pos:start], "big")
+        if end - start > bound:
+            raise EncodingError(f"string exceeds {bound} byte bound")
+        if end > self._end:
+            raise EncodingError("input truncated")
+        self._pos = end
+        return data[start:end]
 
     def string(self, bound: int = MAX_STRING) -> str:
-        n = self.u32()
-        if n > bound:
-            raise EncodingError(f"string exceeds {bound} byte bound")
-        try:
-            return self._take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError("invalid UTF-8 in string field") from exc
+        return utf8(self.sized(bound))
 
     def boolean(self) -> bool:
         flag = self.u8()
@@ -120,10 +152,10 @@ class Reader:
         return self._data[start : self._pos]
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def expect_end(self) -> None:
-        if self._pos != len(self._data):
+        if self._pos != self._end:
             raise EncodingError(f"{self.remaining()} trailing bytes after value")
 
 
@@ -212,7 +244,9 @@ class Enumerated(Codec):
         w.u8(self.codes[value])
 
     def read(self, r: Reader):
-        code = r.u8()
+        return self.member(r.u8())
+
+    def member(self, code: int):
         if code >= len(self.members):
             raise EncodingError(f"unknown {self.name} code {code}")
         return self.members[code]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -38,6 +38,7 @@ from .codec import (
     Str,
     Struct,
     Writer,
+    utf8,
     wire,
 )
 from .errors import ChainError, EncodingError
@@ -94,10 +95,19 @@ class _Principal(Codec):
         w.string(value.id, ID_BOUND)
 
     def read(self, r: Reader) -> PrincipalId:
-        return PrincipalId(KIND.read(r), r.string(ID_BOUND))
+        return _principal(r.u8(), r.sized(ID_BOUND))
 
     def audit(self, value: PrincipalId) -> str:
         return value.id
+
+
+@lru_cache(maxsize=1024)
+def _principal(code: int, raw_id: bytes) -> PrincipalId:
+    """The principal a kind code and id bytes decode to. A ledger names a few
+    principals many times over, so decoding is cached by the exact bytes and
+    equal principals share one (immutable) instance. A bad code or id raises
+    and is not cached."""
+    return PrincipalId(KIND.member(code), utf8(raw_id))
 
 
 KIND = Enumerated(Kind)
@@ -429,6 +439,27 @@ class Block:
 
 _BLOCK = Struct(Block)
 _HEADER = Struct(Block, _BLOCK.fields[:5])  # everything before the transactions
+_BODY = Struct(Block, _BLOCK.fields[5:])
+
+
+class _BlockRecord(Codec):
+    """A block as a ledger record. Decoding is strict, so the header bytes
+    read are the ones `header_bytes` writes and their digest is the block
+    hash."""
+
+    def write(self, w: Writer, block: Block) -> None:
+        _BLOCK.write(w, block)
+
+    def read(self, r: Reader) -> Block:
+        start = r.pos
+        header = _HEADER.read_values(r)
+        digest = crypto.sha256(r.since(start))
+        block = Block(*header, *_BODY.read_values(r))
+        block.__dict__["hash"] = digest  # seeds the cached_property
+        return block
+
+
+_RECORD = _BlockRecord()
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
@@ -741,7 +772,7 @@ def write_ledger(ledger: LedgerState, path: str) -> None:
     self-delimiting."""
     with open(path, "wb") as fh:
         for block in ledger.blocks:
-            body = _BLOCK.encode(block)
+            body = _RECORD.encode(block)
             fh.write(len(body).to_bytes(8, "big") + body)
 
 
@@ -758,7 +789,7 @@ def read_ledger(path: str) -> LedgerState:
         if end > len(data):
             raise ChainError("truncated block record")
         try:
-            block = _BLOCK.decode(data[pos + 8 : end])
+            block = _RECORD.decode(data[pos + 8 : end])
         except EncodingError as exc:
             raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
         if block.height != height:

@@ -103,6 +103,20 @@ def test_timestamp_difference_is_local_to_timestamp_bytes():
     assert a[8:] == b[8:]
 
 
+def test_decoded_principals_are_checked_every_time():
+    # Decoding caches principals by their bytes; a bad kind code or id is
+    # still refused, on every attempt, after a good one was decoded.
+    good = canonical_encode(_tx(1000))
+    first, second = decode_transaction(good), decode_transaction(good)
+    assert first.author == PrincipalId(Kind.PRACTITIONER, "nurse1")
+    assert second.author is first.author
+    bad_kind = good[:8] + bytes([len(Kind)]) + good[9:]
+    bad_id = good[:13] + b"nurse\x01" + good[19:]
+    for data in (bad_kind, bad_id, bad_kind, bad_id):
+        with pytest.raises(EncodingError):
+            decode_transaction(data)
+
+
 def _principal(rng: random.Random, kind: Optional[Kind] = None) -> PrincipalId:
     # Mixed kinds matter: a principal set sorts by the kind's value, which
     # is not the order of the kind codes on the wire.

@@ -435,6 +435,13 @@ class TestPersistence:
         assert [b.hash for b in loaded.blocks] == [b.hash for b in ledger.blocks]
         assert validate_chain(loaded).ok
 
+    def test_read_seeds_each_block_hash_from_its_header_bytes(self, tmp_path):
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        write_ledger(ledger, str(path))
+        for block in read_ledger(str(path)).blocks:
+            assert block.__dict__["hash"] == block_hash(block)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ledger"
         path.write_bytes(b"")
