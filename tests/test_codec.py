@@ -5,7 +5,7 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from careledger.codec import Reader, Writer
 from careledger.errors import EncodingError
@@ -132,9 +132,9 @@ def _some(rng: random.Random, make) -> list:
     return [make() for _ in range(rng.choice([0, 1, rng.randint(2, 6)]))]
 
 
-def _random_payload(rng: random.Random):
+def _random_payload(rng: random.Random, kind: Optional[int] = None):
     study = f"study{rng.randrange(20)}"
-    kind = rng.randrange(13)
+    kind = rng.randrange(13) if kind is None else kind
     if kind == 0:
         return RegisterPrincipal(
             _principal(rng),
@@ -206,9 +206,9 @@ def _random_payload(rng: random.Random):
     )
 
 
-def _random_tx(rng: random.Random) -> Transaction:
+def _random_tx(rng: random.Random, kind: Optional[int] = None) -> Transaction:
     return Transaction(
-        rng.randrange(2**40), _principal(rng), _principal(rng, Kind.ORGANIZATION), _random_payload(rng)
+        rng.randrange(2**40), _principal(rng), _principal(rng, Kind.ORGANIZATION), _random_payload(rng, kind)
     )
 
 
@@ -237,6 +237,27 @@ def test_decode_inverts_encode_over_random_transactions():
         assert decoded.tx_id == hashlib.sha256(encoding).digest()
         actions.add(decoded.action)
     assert len(actions) == 13
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 12), st.integers(0, 2**32), st.sampled_from(["flip", "insert", "remove"]), st.data())
+def test_mutated_wire_bytes_decode_only_to_their_one_valid_form(kind, seed, mutation, data):
+    # Decoding either refuses the bytes or returns the one value whose
+    # canonical encoding is exactly those bytes.
+    encoding = canonical_encode(_random_tx(random.Random(seed), kind))
+    at = data.draw(st.integers(0, len(encoding) - 1))
+    if mutation == "flip":
+        changed = bytes([encoding[at] ^ data.draw(st.integers(1, 255))])
+        mutated = encoding[:at] + changed + encoding[at + 1 :]
+    elif mutation == "insert":
+        mutated = encoding[:at] + bytes([data.draw(st.integers(0, 255))]) + encoding[at:]
+    else:
+        mutated = encoding[:at] + encoding[at + 1 :]
+    try:
+        decoded = decode_transaction(mutated)
+    except EncodingError:
+        return
+    assert canonical_encode(decoded) == mutated
 
 
 def test_principal_id_bounds():

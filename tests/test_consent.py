@@ -184,6 +184,17 @@ class TestLifecycle:
         sim.settle()
         assert sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].state == "signed"
 
+    def test_consent_message_is_study_then_quiz_hash_then_attempt_tx(self):
+        # The layout participants have always signed: a u32-length-prefixed
+        # UTF-8 study id, then the two raw 32-byte digests.
+        rng = random.Random(31)
+        for _ in range(300):
+            study = "".join(rng.choice("ab-_9é✓") for _ in range(rng.randrange(40)))
+            digest, attempt = rng.randbytes(32), rng.randbytes(32)
+            raw = study.encode()
+            expected = len(raw).to_bytes(4, "big") + raw + digest + attempt
+            assert consent_message(study, digest, attempt) == expected
+
     def test_signature_binds_study_quiz_and_attempt(self):
         sim = consent_sim()
         sim.submit_attempt("part1", "sleepstudy", [1, 0, 1])

@@ -38,6 +38,7 @@ from careledger.ledger import (
     verify_tx,
     write_ledger,
 )
+from careledger.scenario import run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
 from conftest import FIXTURES, build_care_sim
@@ -557,6 +558,43 @@ class TestGoldenPins:
                 assert hashlib.sha256(path.read_bytes()).hexdigest() == ledger_digest, path
                 assert hashlib.sha256(audit.encode()).hexdigest() == audit_digest, path
         assert actions == ALL_ACTIONS
+
+
+# The outcome of every trial below, as the decoder and the chain checks
+# report it. Taken when the decoder was a field-by-field interpreter; a
+# decoder built any other way must fail each trial with the same error class,
+# rule and message.
+TAMPER_OUTCOMES = "51dac766d3a45b6c081bda3a68b529650150ac28f58ad15f2caf071119382390"
+
+
+def _tamper_outcome(path, data: bytes) -> str:
+    path.write_bytes(data)
+    try:
+        report = validate_chain(read_ledger(str(path)))
+    except ChainError as exc:
+        return f"ChainError: {exc}"
+    return "undetected" if report.ok else f"{report.violation.rule}: {report.violation.message}"
+
+
+class TestTamperOutcomes:
+    def test_mutations_and_truncations_fail_as_pinned(self, tmp_path):
+        sim, _ = run_scenario((FIXTURES / "case1.scn").read_text(), SimConfig(seed=42), base_dir=FIXTURES)
+        source = tmp_path / "chain.ledger"
+        write_ledger(sim.nodes["hospital"].ledger, str(source))
+        data = source.read_bytes()
+        target = tmp_path / "mutated.ledger"
+        rng = random.Random("tamper-outcomes")
+        outcomes = []
+        for _ in range(3000):
+            pos, delta = rng.randrange(len(data)), rng.randrange(1, 256)
+            mutated = bytearray(data)
+            mutated[pos] ^= delta
+            outcomes.append((pos, delta, _tamper_outcome(target, bytes(mutated))))
+        for _ in range(30):
+            cut = rng.randrange(len(data))  # delta 0: the file ends at `cut`
+            outcomes.append((cut, 0, _tamper_outcome(target, data[:cut])))
+        assert not [o for o in outcomes if o[2] == "undetected"]
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == TAMPER_OUTCOMES
 
 
 def _record_spans(data: bytes) -> list[tuple[int, int]]:
