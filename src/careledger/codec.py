@@ -15,18 +15,34 @@ Layout rules, applied by every composite encoder in the package:
 The same field sequence always produces the same bytes on every platform;
 there is no map ordering, padding, or float representation anywhere.
 
-`Writer` and `Reader` handle the primitives. The `Codec` types below compose
-them: a record type declares each field once with `wire(codec)`, and
-`Struct` derives its encoder and decoder from those declarations.
+A record type declares each field once with `wire(codec)`, and `Struct`
+derives both directions from those declarations. Writing is generic: each
+codec writes its value through a `Writer`. Reading is compiled: when a
+`Struct` is declared, every codec in it contributes Python source to one
+read function (`Codec.emit`), which is built with `exec`. A read function
+takes `(data, pos, end)`, reads one value from `data[pos:end]` by advancing
+an integer offset, and returns `(value, pos)`. A run of fixed-width fields
+(`U32`, `U64`, `BOOL`, `Raw`, `Enumerated`) is one precompiled
+`struct.Struct.unpack_from`; strings, optional values, sequences, sets and
+pairs are written out inline. A codec that cannot emit a reader fails the
+declaration of the record type that uses it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
+import struct
+from contextlib import contextmanager
+from functools import cached_property
 
 from .errors import EncodingError
 
 MAX_STRING = 4096
+TRUNCATED = "input truncated"
+BAD_UTF8 = "invalid UTF-8 in string field"
+UNSORTED = "set members not in ascending order without repeats"
 
 
 class Writer:
@@ -73,90 +89,109 @@ def utf8(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EncodingError("invalid UTF-8 in string field") from exc
+        raise EncodingError(BAD_UTF8) from exc
 
 
-class Reader:
-    __slots__ = ("_data", "_pos", "_end")
+# ---------------------------------------------------------------------------
+# Read functions are generated
+# ---------------------------------------------------------------------------
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._end = len(data)
 
-    # The primitives read straight from the buffer rather than through one
-    # another: a ledger read decodes a few hundred fields per block.
+class Source:
+    """The body of one read function under construction. A codec appends the
+    lines that read its value from `data`, starting at `pos` and never past
+    `end`, and leave `pos` just after the value."""
 
-    def _take(self, n: int) -> bytes:
-        pos = self._pos
-        end = pos + n
-        if end > self._end:
-            raise EncodingError("input truncated")
-        self._pos = end
-        return self._data[pos:end]
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.env: dict = {"EncodingError": EncodingError, "TRUNCATED": TRUNCATED}
+        self._depth = 1
+        self._count = itertools.count()
 
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= self._end:
-            raise EncodingError("input truncated")
-        self._pos = pos + 1
-        return self._data[pos]
+    def local(self, hint: str) -> str:
+        """A fresh variable name."""
+        return f"{hint}_{next(self._count)}"
 
-    def u32(self) -> int:
-        pos = self._pos
-        end = pos + 4
-        if end > self._end:
-            raise EncodingError("input truncated")
-        self._pos = end
-        return int.from_bytes(self._data[pos:end], "big")
+    def const(self, value, hint: str) -> str:
+        """A fresh name under which the function sees `value`."""
+        name = self.local(hint)
+        self.env[name] = value
+        return name
 
-    def u64(self) -> int:
-        pos = self._pos
-        end = pos + 8
-        if end > self._end:
-            raise EncodingError("input truncated")
-        self._pos = end
-        return int.from_bytes(self._data[pos:end], "big")
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self._depth + text)
 
-    raw = _take
+    @contextmanager
+    def indented(self):
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
 
-    def sized(self, bound: int = MAX_STRING) -> bytes:
-        """A u32 length of at most `bound`, then that many bytes."""
-        data, pos = self._data, self._pos
-        start = pos + 4
-        if start > self._end:
-            raise EncodingError("input truncated")
-        end = start + int.from_bytes(data[pos:start], "big")
-        if end - start > bound:
-            raise EncodingError(f"string exceeds {bound} byte bound")
-        if end > self._end:
-            raise EncodingError("input truncated")
-        self._pos = end
-        return data[start:end]
+    def sized(self, bound: int) -> str:
+        """A u32 length of at most `bound`, then that many bytes: returns the
+        name of their start offset; they end at `pos`."""
+        length, start = U32.emit(self), self.local("start")
+        self.line(f"if {length} > {bound}:")
+        self.line(f"    raise EncodingError({f'string exceeds {bound} byte bound'!r})")
+        self.line(f"{start} = pos")
+        self.line(f"pos += {length}")
+        self.line("if pos > end:")
+        self.line("    raise EncodingError(TRUNCATED)")
+        return start
 
-    def string(self, bound: int = MAX_STRING) -> str:
-        return utf8(self.sized(bound))
+    def values(self, codecs) -> list[str]:
+        """Emit `codecs` in order, each run of fixed-width ones as one unpack;
+        return an expression for each value."""
+        out: list[str] = []
+        for fixed, run in itertools.groupby(codecs, lambda codec: isinstance(codec, Fixed)):
+            out += self._fixed_run(list(run)) if fixed else [codec.emit(self) for codec in run]
+        return out
 
-    def boolean(self) -> bool:
-        flag = self.u8()
-        if flag not in (0, 1):
-            raise EncodingError(f"invalid boolean byte {flag}")
-        return flag == 1
+    def _fixed_run(self, codecs: list[Fixed]) -> list[str]:
+        layout = struct.Struct(">" + "".join(c.fmt for c in codecs))
+        checked, offset = [], 0
+        for codec in codecs:
+            if codec.limit is not None and offset + 1 < layout.size:  # a field follows it
+                checked.append((offset, codec))
+            offset += struct.calcsize(">" + codec.fmt)
+        self.line(f"if pos + {layout.size} > end:")
+        if checked:
+            self.line(f"    {self.const(_cut_run, 'cut_run')}(data, pos, end, {self.const(tuple(checked), 'checked')})")
+        self.line("    raise EncodingError(TRUNCATED)")
+        raws = [self.local("raw") for _ in codecs]
+        if layout.format == ">B":  # indexing is a third of the cost of an unpack
+            self.line(f"{raws[0]} = data[pos]")
+        else:
+            self.line(f"{', '.join(raws)}, = {self.const(layout.unpack_from, 'unpack')}(data, pos)")
+        self.line(f"pos += {layout.size}")
+        for codec, raw in zip(codecs, raws):
+            if codec.limit is not None:
+                self.line(f"if {raw} > {codec.limit}:")
+                self.line(f"    {self.const(codec.refuse, 'refuse')}({raw})")
+        return [codec.value(self, raw) for codec, raw in zip(codecs, raws)]
 
-    @property
-    def pos(self) -> int:
-        return self._pos
 
-    def since(self, start: int) -> bytes:
-        """The bytes consumed from offset `start` up to the current position."""
-        return self._data[start : self._pos]
+def _cut_run(data: bytes, pos: int, end: int, checked: tuple) -> None:
+    """A run of fixed-width fields that does not fit before `end` raises what
+    reading its fields one at a time would: the first refused flag or code
+    that fits, else truncation. `checked` holds (offset, codec) for the
+    checked fields, which are one byte wide."""
+    for offset, codec in checked:
+        if pos + offset >= end:
+            break
+        if data[pos + offset] > codec.limit:
+            codec.refuse(data[pos + offset])
 
-    def remaining(self) -> int:
-        return self._end - self._pos
 
-    def expect_end(self) -> None:
-        if self._pos != self._end:
-            raise EncodingError(f"{self.remaining()} trailing bytes after value")
+def _compile(codec: Codec, name: str):
+    """The generated read function for `codec`."""
+    src = Source()
+    value = codec.emit(src)
+    text = "\n".join([f"def read_{name}(data, pos, end):", *src.lines, f"    return {value}, pos", ""])
+    exec(compile(text, f"<wire reader {name}>", "exec"), src.env)
+    return src.env[f"read_{name}"]
 
 
 # ---------------------------------------------------------------------------
@@ -165,44 +200,90 @@ class Reader:
 
 
 class Codec:
-    """One wire type: how a value is written and read back, how it orders
-    inside a sorted set (`key`), and how it shows in an audit record."""
+    """One wire type: how a value is written, the source that reads it back
+    (`emit`), how it orders inside a sorted set (`key`), and how it shows in
+    an audit record."""
 
     def write(self, w: Writer, value) -> None:
         raise NotImplementedError
 
-    def read(self, r: Reader):
-        raise NotImplementedError
+    def emit(self, src: Source) -> str:
+        """Append to `src` the lines that read one value; return an
+        expression for the value."""
+        raise TypeError(f"{type(self).__name__} has no compiled reader")
 
     def key(self, value):
         return value
 
+    @property
+    def sorts_as_itself(self) -> bool:
+        """Whether `key` is the value itself, so sets compare members directly."""
+        return type(self).key is Codec.key
+
     def audit(self, value):
         return value
+
+    @cached_property
+    def reader(self):
+        """(data, pos, end) -> (value, pos): this codec's read function."""
+        return _compile(self, type(self).__name__)
 
     def encode(self, value) -> bytes:
         w = Writer()
         self.write(w, value)
         return w.getvalue()
 
-    def decode(self, data: bytes):
-        r = Reader(data)
-        value = self.read(r)
-        r.expect_end()
+    def decode(self, data: bytes, start: int = 0, end: int | None = None):
+        """The one value that `data[start:end]` holds, and nothing after it."""
+        end = len(data) if end is None else end
+        value, pos = self.reader(data, start, end)
+        if pos != end:
+            raise EncodingError(f"{end - pos} trailing bytes after value")
         return value
 
 
-class _Primitive(Codec):
-    """A type the Writer and Reader handle directly: their methods are this
-    codec's own."""
+class Fixed(Codec):
+    """A fixed-width type: one `struct` format code. When `limit` is set the
+    type is one byte wide, and `refuse(raw)` raises for a raw byte above it."""
 
-    def __init__(self, write, read) -> None:
-        self.write, self.read = write, read
+    fmt: str
+    limit: int | None = None
+
+    def refuse(self, raw: int) -> None:
+        raise NotImplementedError
+
+    def value(self, src: Source, raw: str) -> str:
+        """The expression turning the unpacked `raw` into the value."""
+        return raw
+
+    def emit(self, src: Source) -> str:
+        return src.values([self])[0]
 
 
-U32 = _Primitive(Writer.u32, Reader.u32)
-U64 = _Primitive(Writer.u64, Reader.u64)
-BOOL = _Primitive(Writer.boolean, Reader.boolean)
+class _Unsigned(Fixed):
+    def __init__(self, fmt: str, write) -> None:
+        self.fmt, self.write = fmt, write
+
+
+U8 = _Unsigned("B", Writer.u8)
+U32 = _Unsigned("I", Writer.u32)
+U64 = _Unsigned("Q", Writer.u64)
+
+
+class _Boolean(Fixed):
+    fmt, limit = "B", 1
+
+    def write(self, w: Writer, value: bool) -> None:
+        w.boolean(value)
+
+    def refuse(self, raw: int) -> None:
+        raise EncodingError(f"invalid boolean byte {raw}")
+
+    def value(self, src: Source, raw: str) -> str:
+        return f"{raw} == 1"
+
+
+BOOL = _Boolean()
 
 
 class Str(Codec):
@@ -212,43 +293,51 @@ class Str(Codec):
     def write(self, w: Writer, value: str) -> None:
         w.string(value, self.bound)
 
-    def read(self, r: Reader) -> str:
-        return r.string(self.bound)
+    def emit(self, src: Source) -> str:
+        start, text = src.sized(self.bound), src.local("text")
+        src.line("try:")
+        src.line(f"    {text} = data[{start} : pos].decode('utf-8')")
+        src.line("except UnicodeDecodeError as exc:")
+        src.line(f"    raise EncodingError({BAD_UTF8!r}) from exc")
+        return text
 
 
-class Raw(Codec):
+class Raw(Fixed):
     """Fixed-width bytes, shown in audit records as hex."""
 
     def __init__(self, width: int) -> None:
-        self.width = width
+        self.width, self.fmt = width, f"{width}s"
 
     def write(self, w: Writer, value: bytes) -> None:
         w.raw(value, self.width)
-
-    def read(self, r: Reader) -> bytes:
-        return r.raw(self.width)
 
     def audit(self, value: bytes) -> str:
         return value.hex()
 
 
-class Enumerated(Codec):
+class Enumerated(Fixed):
     """A member of an `enum.Enum` as its u8 code; sorts by code, shows as its value."""
+
+    fmt = "B"
 
     def __init__(self, enum_type) -> None:
         self.members = tuple(enum_type)
         self.codes = {m: i for i, m in enumerate(self.members)}
         self.name = enum_type.__name__
+        self.limit = len(self.members) - 1
 
     def write(self, w: Writer, value) -> None:
         w.u8(self.codes[value])
 
-    def read(self, r: Reader):
-        return self.member(r.u8())
+    def refuse(self, raw: int) -> None:
+        raise EncodingError(f"unknown {self.name} code {raw}")
+
+    def value(self, src: Source, raw: str) -> str:
+        return f"{src.const(self.members, self.name)}[{raw}]"
 
     def member(self, code: int):
-        if code >= len(self.members):
-            raise EncodingError(f"unknown {self.name} code {code}")
+        if code > self.limit:
+            self.refuse(code)
         return self.members[code]
 
     def key(self, value) -> int:
@@ -267,8 +356,14 @@ class Opt(Codec):
         if value is not None:
             self.item.write(w, value)
 
-    def read(self, r: Reader):
-        return self.item.read(r) if r.boolean() else None
+    def emit(self, src: Source) -> str:
+        present, value = BOOL.emit(src), src.local("opt")
+        src.line(f"{value} = None")
+        src.line(f"if {present}:")
+        with src.indented():
+            item = self.item.emit(src)
+            src.line(f"{value} = {item}")
+        return value
 
     def audit(self, value):
         return self.item.audit(value)
@@ -285,9 +380,17 @@ class Seq(Codec):
         for member in value:
             self.item.write(w, member)
 
-    def read(self, r: Reader) -> tuple:
-        read = self.item.read
-        return tuple([read(r) for _ in range(r.u32())])
+    def emit(self, src: Source) -> str:
+        count, members = U32.emit(src), src.local("members")
+        src.line(f"{members} = []")
+        src.line(f"for _ in range({count}):")
+        with src.indented():
+            member = self.item.emit(src)
+            src.line(f"{members}.append({member})")
+        return self.collect(src, members)
+
+    def collect(self, src: Source, members: str) -> str:
+        return f"tuple({members})"
 
     def audit(self, value) -> list:
         return [self.item.audit(member) for member in value]
@@ -295,7 +398,8 @@ class Seq(Codec):
 
 class SortedSet(Seq):
     """Members written in ascending `key` order; decodes to `into` (a
-    frozenset unless given) and rejects any other order or a repeat."""
+    frozenset unless given) and rejects any other order or a repeat, once
+    every member is read."""
 
     def __init__(self, item: Codec, into=frozenset) -> None:
         super().__init__(item)
@@ -304,12 +408,14 @@ class SortedSet(Seq):
     def write(self, w: Writer, value) -> None:
         super().write(w, sorted(value, key=self.item.key))
 
-    def read(self, r: Reader):
-        members = super().read(r)
-        keys = [self.item.key(m) for m in members]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise EncodingError("set members not in ascending order without repeats")
-        return self.into(members)
+    def collect(self, src: Source, members: str) -> str:
+        keys = members
+        if not self.item.sorts_as_itself:
+            keys = src.local("keys")
+            src.line(f"{keys} = list(map({src.const(self.item.key, 'key')}, {members}))")
+        src.line(f"if any(map({src.const(operator.ge, 'ge')}, {keys}, {keys}[1:])):")
+        src.line(f"    raise EncodingError({UNSORTED!r})")
+        return f"{src.const(self.into, 'into')}({members})"
 
     def audit(self, value) -> list:
         return sorted(self.item.audit(member) for member in value)
@@ -323,11 +429,16 @@ class Pair(Codec):
         self.first.write(w, value[0])
         self.second.write(w, value[1])
 
-    def read(self, r: Reader) -> tuple:
-        return self.first.read(r), self.second.read(r)
+    def emit(self, src: Source) -> str:
+        first, second = src.values([self.first, self.second])
+        return f"({first}, {second})"
 
     def key(self, value: tuple) -> tuple:
         return self.first.key(value[0]), self.second.key(value[1])
+
+    @property
+    def sorts_as_itself(self) -> bool:
+        return self.first.sorts_as_itself and self.second.sorts_as_itself
 
 
 def wire(codec: Codec, *, default=dataclasses.MISSING, **meta):
@@ -338,21 +449,23 @@ def wire(codec: Codec, *, default=dataclasses.MISSING, **meta):
 
 class Struct(Codec):
     """A dataclass as its `wire()` fields in declaration order (or the
-    (name, codec) pairs given); decodes by calling the class positionally."""
+    (name, codec) pairs given); decodes by calling the class positionally.
+    Its read function is compiled here, so a field codec without one fails
+    the declaration."""
 
     def __init__(self, cls, fields=None) -> None:
         if fields is None:
             fields = [(f.name, f.metadata["codec"]) for f in dataclasses.fields(cls) if "codec" in f.metadata]
         self.cls, self.fields = cls, tuple(fields)
+        self.codecs = tuple(codec for _, codec in self.fields)
         self._writers = tuple((name, codec.write) for name, codec in self.fields)
-        self._readers = tuple(codec.read for _, codec in self.fields)
+        self.reader = _compile(self, cls.__name__)
 
     def write(self, w: Writer, value) -> None:
         for name, write in self._writers:
             write(w, getattr(value, name))
 
-    def read_values(self, r: Reader) -> list:
-        return [read(r) for read in self._readers]
-
-    def read(self, r: Reader):
-        return self.cls(*self.read_values(r))
+    def emit(self, src: Source) -> str:
+        values, value = src.values(self.codecs), src.local("record")
+        src.line(f"{value} = {src.const(self.cls, self.cls.__name__)}({', '.join(values)})")
+        return value

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import crypto
-from .codec import U32, Seq, Str, Struct, Writer, wire
+from .codec import U32, Seq, Str, Struct, wire
 from .errors import ConsentError
 from .ledger import (
     ConsentInvited,
     ConsentSigned,
     ConsentWithdrawn,
+    HASH,
     Kind,
     PrincipalId,
     ProfilePublished,
@@ -292,13 +293,19 @@ def make_attempt(
     return payload, quiz.wrong_indexes(answers)
 
 
+@dataclass(frozen=True)
+class _ConsentMessage:
+    study_id: str = wire(Str())
+    quiz_hash: bytes = wire(HASH)
+    attempt_tx: bytes = wire(HASH)
+
+
+_CONSENT_MESSAGE = Struct(_ConsentMessage)
+
+
 def consent_message(study_id: str, quiz_digest: bytes, attempt_tx: bytes) -> bytes:
     """Exact bytes a participant signs when consenting."""
-    w = Writer()
-    w.string(study_id)
-    w.raw(quiz_digest, 32)
-    w.raw(attempt_tx, 32)
-    return w.getvalue()
+    return _CONSENT_MESSAGE.encode(_ConsentMessage(study_id, quiz_digest, attempt_tx))
 
 
 def make_signature(

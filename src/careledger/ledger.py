@@ -25,6 +25,7 @@ from typing import ClassVar, Iterable, Iterator, Optional
 from . import crypto
 from .codec import (
     BOOL,
+    U8,
     U32,
     U64,
     Codec,
@@ -32,9 +33,9 @@ from .codec import (
     Opt,
     Pair,
     Raw,
-    Reader,
     Seq,
     SortedSet,
+    Source,
     Str,
     Struct,
     Writer,
@@ -94,8 +95,11 @@ class _Principal(Codec):
         KIND.write(w, value.kind)
         w.string(value.id, ID_BOUND)
 
-    def read(self, r: Reader) -> PrincipalId:
-        return _principal(r.u8(), r.sized(ID_BOUND))
+    def emit(self, src: Source) -> str:
+        code, principal = U8.emit(src), src.local("principal")
+        start = src.sized(ID_BOUND)
+        src.line(f"{principal} = {src.const(_principal, 'principal_of')}({code}, data[{start} : pos])")
+        return principal
 
     def audit(self, value: PrincipalId) -> str:
         return value.id
@@ -126,7 +130,7 @@ SIGNATURE = Raw(crypto.SIGNATURE_LEN)
 # ---------------------------------------------------------------------------
 
 SUBJECT = object()
-_PAYLOAD_TYPES: dict[int, type] = {}
+_PAYLOAD_READERS: dict = {}  # tag -> the payload type's read function
 
 
 class Payload:
@@ -169,7 +173,7 @@ def _payload(tag: int, writes: tuple[str, ...] = ()):
             elif key is not None:
                 audit.append((f.name, key, f.metadata["codec"]))
         cls.AUDIT = tuple(audit)
-        _PAYLOAD_TYPES[tag] = cls
+        _PAYLOAD_READERS[tag] = cls.WIRE.reader
         return cls
 
     return declare
@@ -310,12 +314,13 @@ class _Tagged(Codec):
         w.u8(value.TAG)
         value.WIRE.write(w, value)
 
-    def read(self, r: Reader) -> Payload:
-        tag = r.u8()
-        cls = _PAYLOAD_TYPES.get(tag)
-        if cls is None:
-            raise EncodingError(f"unknown payload tag {tag}")
-        return cls.WIRE.read(r)
+    def emit(self, src: Source) -> str:
+        tag, read, payload = U8.emit(src), src.local("read"), src.local("payload")
+        src.line(f"{read} = {src.const(_PAYLOAD_READERS, 'payload_readers')}.get({tag})")
+        src.line(f"if {read} is None:")
+        src.line(f"    raise EncodingError(f'unknown payload tag {{{tag}}}')")
+        src.line(f"{payload}, pos = {read}(data, pos, end)")
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +361,39 @@ def tx_hash(tx: Transaction) -> bytes:
     return crypto.sha256(canonical_encode(tx))
 
 
-class _SignedTx(Codec):
+class _Hashed(Codec):
+    """A record written as `struct`, whose first `hashed` fields' exact bytes,
+    as read, hash to its cached property `attr`. Decoding is strict, so those
+    bytes are the ones the writer writes."""
+
+    def __init__(self, struct: Struct, hashed: int, attr: str) -> None:
+        self.struct, self.hashed, self.attr = struct, hashed, attr
+
+    def write(self, w: Writer, value) -> None:
+        self.struct.write(w, value)
+
+    def emit(self, src: Source) -> str:
+        start, digest, value = src.local("start"), src.local("digest"), src.local("value")
+        src.line(f"{start} = pos")
+        values = src.values(self.struct.codecs[: self.hashed])
+        src.line(f"{digest} = {src.const(crypto, 'crypto')}.sha256(data[{start} : pos])")
+        values += src.values(self.struct.codecs[self.hashed :])
+        src.line(f"{value} = {src.const(self.struct.cls, 'cls')}({', '.join(values)})")
+        src.line(f"{value}.__dict__[{self.attr!r}] = {digest}")  # seeds the cached_property
+        return value
+
+
+class _SignedTx(_Hashed):
     """A transaction in a block record: its canonical encoding, then its
-    signature. Decoding is strict, so the exact bytes read re-encode to
-    themselves and their hash is the transaction id."""
+    signature; the encoding hashes to the transaction id."""
 
     def write(self, w: Writer, tx: Transaction) -> None:
         if tx.signature is None:
             raise ChainError("cannot persist an unsigned transaction")
-        _TX.write(w, tx)
-        SIGNATURE.write(w, tx.signature)
+        super().write(w, tx)
 
-    def read(self, r: Reader) -> Transaction:
-        start = r.pos
-        values = _TX.read_values(r)
-        tx_id = crypto.sha256(r.since(start))
-        tx = Transaction(*values, SIGNATURE.read(r))
-        tx.__dict__["tx_id"] = tx_id  # seeds the cached_property
-        return tx
+
+_SIGNED_TX = _SignedTx(Struct(Transaction, _TX.fields + (("signature", SIGNATURE),)), len(_TX.fields), "tx_id")
 
 
 def sign_tx(tx: Transaction, private_key: bytes) -> Transaction:
@@ -427,7 +447,7 @@ class Block:
     timestamp: int = wire(U64)
     proposer: PrincipalId = wire(PRINCIPAL)
     tx_root: bytes = wire(HASH)
-    transactions: tuple[Transaction, ...] = wire(Seq(_SignedTx()))
+    transactions: tuple[Transaction, ...] = wire(Seq(_SIGNED_TX))
     endorsements: tuple[tuple[PrincipalId, bytes], ...] = wire(
         SortedSet(Pair(PRINCIPAL, SIGNATURE), into=tuple), default=()
     )
@@ -439,27 +459,9 @@ class Block:
 
 _BLOCK = Struct(Block)
 _HEADER = Struct(Block, _BLOCK.fields[:5])  # everything before the transactions
-_BODY = Struct(Block, _BLOCK.fields[5:])
 
 
-class _BlockRecord(Codec):
-    """A block as a ledger record. Decoding is strict, so the header bytes
-    read are the ones `header_bytes` writes and their digest is the block
-    hash."""
-
-    def write(self, w: Writer, block: Block) -> None:
-        _BLOCK.write(w, block)
-
-    def read(self, r: Reader) -> Block:
-        start = r.pos
-        header = _HEADER.read_values(r)
-        digest = crypto.sha256(r.since(start))
-        block = Block(*header, *_BODY.read_values(r))
-        block.__dict__["hash"] = digest  # seeds the cached_property
-        return block
-
-
-_RECORD = _BlockRecord()
+_RECORD = _Hashed(_BLOCK, len(_HEADER.fields), "hash")  # a block as a ledger record
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
@@ -789,7 +791,7 @@ def read_ledger(path: str) -> LedgerState:
         if end > len(data):
             raise ChainError("truncated block record")
         try:
-            block = _RECORD.decode(data[pos + 8 : end])
+            block = _RECORD.decode(data, pos + 8, end)
         except EncodingError as exc:
             raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
         if block.height != height:

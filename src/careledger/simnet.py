@@ -525,15 +525,14 @@ class Simulation:
         org: PrincipalId = message["org"]
         key = node.policy.principals.get(org)
         if key is None or not crypto.verify(key, message["sig"], state.block.hash):
-            self._trace(
-                "msg_delivered",
-                {"to": node.org.id, "type": "endorse", "dropped": "signature"},
-            )
+            dropped = "signature"
+        elif org not in node.policy.quorum_members():
+            dropped = "endorsement"  # the block rule a non-member's endorsement breaks
+        else:
+            state.endorsements[org.id] = message["sig"]
+            self._check_round_commit()
             return
-        if org.id not in {m.id for m in node.policy.quorum_members()}:
-            return
-        state.endorsements[org.id] = message["sig"]
-        self._check_round_commit()
+        self._trace("msg_delivered", {"to": node.org.id, "type": "endorse", "dropped": dropped})
 
     def _on_commit(self, node: Node, from_org: str, message: dict) -> None:
         block: Block = message["block"]

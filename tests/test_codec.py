@@ -2,12 +2,13 @@
 
 import hashlib
 import random
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from careledger.codec import Reader, Writer
+from careledger.codec import BOOL, U32, U64, Codec, Pair, Str, Struct, Writer, wire
 from careledger.errors import EncodingError
 from careledger.ledger import (
     AccessCompleted,
@@ -33,49 +34,57 @@ from careledger.ledger import (
 
 
 def test_empty_string_encodes_as_length_prefix_only():
-    w = Writer()
-    w.string("")
-    assert w.getvalue() == b"\x00\x00\x00\x00"
+    assert Str().encode("") == b"\x00\x00\x00\x00"
 
 
 def test_string_round_trip_unicode():
-    w = Writer()
-    w.string("blood pressure élevated")
-    r = Reader(w.getvalue())
-    assert r.string() == "blood pressure élevated"
-    r.expect_end()
+    data = Str().encode("blood pressure élevated")
+    assert Str().decode(data) == "blood pressure élevated"
 
 
 def test_string_over_bound_rejected():
-    w = Writer()
-    with pytest.raises(EncodingError):
-        w.string("x" * 65, bound=64)
+    with pytest.raises(EncodingError, match="string exceeds 64 byte bound"):
+        Str(64).encode("x" * 65)
+    with pytest.raises(EncodingError, match="string exceeds 64 byte bound"):
+        Str(64).decode(Str(65).encode("x" * 65))
 
 
 def test_integer_widths_and_bounds():
-    w = Writer()
-    w.u8(255)
-    w.u32(2**32 - 1)
-    w.u64(2**64 - 1)
-    r = Reader(w.getvalue())
-    assert (r.u8(), r.u32(), r.u64()) == (255, 2**32 - 1, 2**64 - 1)
+    data = BOOL.encode(True) + U32.encode(2**32 - 1) + U64.encode(2**64 - 1)
+    assert data == b"\x01" + b"\xff" * 12
+    assert Pair(BOOL, Pair(U32, U64)).decode(data) == (True, (2**32 - 1, 2**64 - 1))
+    with pytest.raises(EncodingError, match="invalid boolean byte 2"):
+        BOOL.decode(b"\x02")
     with pytest.raises(EncodingError):
         Writer().u8(256)
     with pytest.raises(EncodingError):
-        Writer().u64(-1)
+        U32.encode(2**32)
+    with pytest.raises(EncodingError):
+        U64.encode(-1)
 
 
 def test_reader_truncation_detected():
-    r = Reader(b"\x00\x00")
-    with pytest.raises(EncodingError):
-        r.u32()
+    with pytest.raises(EncodingError, match="input truncated"):
+        U32.decode(b"\x00\x00")
 
 
 def test_trailing_bytes_detected():
-    r = Reader(b"\x01\x02")
-    r.u8()
-    with pytest.raises(EncodingError):
-        r.expect_end()
+    with pytest.raises(EncodingError, match="1 trailing bytes after value"):
+        BOOL.decode(b"\x01\x02")
+
+
+def test_a_codec_without_a_compiled_reader_fails_its_record_declaration():
+    class Opaque(Codec):
+        def write(self, w, value):
+            w.u8(value)
+
+    @dataclass(frozen=True)
+    class Record:
+        count: int = wire(U32)
+        flag: int = wire(Opaque())
+
+    with pytest.raises(TypeError, match="Opaque has no compiled reader"):
+        Struct(Record)
 
 
 def _tx(timestamp: int) -> Transaction:
@@ -271,10 +280,5 @@ def test_principal_id_bounds():
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.text(max_size=40))
 def test_u64_and_string_round_trip(n, text):
-    w = Writer()
-    w.u64(n)
-    w.string(text, bound=4096)
-    r = Reader(w.getvalue())
-    assert r.u64() == n
-    assert r.string(bound=4096) == text
-    r.expect_end()
+    codec = Pair(U64, Str(4096))
+    assert codec.decode(codec.encode((n, text))) == (n, text)

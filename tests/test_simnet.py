@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from careledger import crypto
 from careledger.errors import ScriptError, SimError
 from careledger.exchange import submit_request
 from careledger.ledger import Category, Kind, PrincipalId, quorum, validate_chain
@@ -275,6 +276,26 @@ class TestForgeryResistance:
         assert dropped
         # The chain still commits correctly with honest endorsements.
         assert sim.nodes["a"].ledger.height == 1
+        assert validate_chain(sim.nodes["a"].ledger).ok
+
+    def test_endorsement_from_a_registered_non_member_dropped_and_recorded(self):
+        sim = spawn_network(["a", "b", "c"], SimConfig(seed=3))
+        sim.register_person(Kind.PATIENT, "p1")
+        sim.settle()
+        sim.register_person(Kind.PATIENT, "p2")
+        sim.tick(sim.config.block_interval + 1)
+        state = sim.round
+        assert state is not None
+        # p1's key is on file and really signs the round's block hash, but
+        # p1 is no member organization.
+        p1 = P(Kind.PATIENT, "p1")
+        sig = crypto.sign(sim.private_keys[p1], state.block.hash)
+        message = {"type": "endorse", "round_id": state.round_id, "org": p1, "sig": sig}
+        sim._schedule(0, "deliver", ("b", state.proposer, message))
+        sim.settle()
+        dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert dropped == [{"to": state.proposer, "type": "endorse", "dropped": "endorsement"}]
+        assert sim.nodes["a"].ledger.height == 2
         assert validate_chain(sim.nodes["a"].ledger).ok
 
     @pytest.mark.parametrize(
