@@ -22,7 +22,7 @@ codec writes its value through a `Writer`. Reading is compiled: when a
 read function (`Codec.emit`), which is built with `exec`. A read function
 takes `(data, pos, end)`, reads one value from `data[pos:end]` by advancing
 an integer offset, and returns `(value, pos)`. A run of fixed-width fields
-(`U32`, `U64`, `BOOL`, `Raw`, `Enumerated`) is one precompiled
+(`U8`, `U32`, `U64`, `BOOL`, `Raw`, `Enumerated`) is one precompiled
 `struct.Struct.unpack_from`; strings, optional values, sequences, sets and
 pairs are written out inline. A codec that cannot emit a reader fails the
 declaration of the record type that uses it.

@@ -68,6 +68,23 @@ def test_reader_truncation_detected():
         U32.decode(b"\x00\x00")
 
 
+def test_fixed_width_fields_fail_in_field_order_when_cut_short():
+    # A run of fixed-width fields is read at once, but a bad flag that fits
+    # before the cut is still reported ahead of the truncation after it.
+    @dataclass(frozen=True)
+    class Flags:
+        first: bool = wire(BOOL)
+        count: int = wire(U32)
+        last: bool = wire(BOOL)
+
+    codec = Struct(Flags)
+    assert codec.decode(b"\x01\x00\x00\x00\x02\x00") == Flags(True, 2, False)
+    with pytest.raises(EncodingError, match="invalid boolean byte 7"):
+        codec.decode(b"\x07\x00\x00")
+    with pytest.raises(EncodingError, match="input truncated"):
+        codec.decode(b"\x01\x00\x00\x00\x00")
+
+
 def test_trailing_bytes_detected():
     with pytest.raises(EncodingError, match="1 trailing bytes after value"):
         BOOL.decode(b"\x01\x02")
