@@ -174,10 +174,10 @@ class Source:
 
 
 def _cut_run(data: bytes, pos: int, end: int, checked: tuple) -> None:
-    """A run of fixed-width fields that does not fit before `end` raises what
-    reading its fields one at a time would: the first refused flag or code
-    that fits, else truncation. `checked` holds (offset, codec) for the
-    checked fields, which are one byte wide."""
+    """For a run of fixed-width fields that does not fit before `end`: raise
+    what reading its fields one at a time would raise ahead of the
+    truncation, the first refused flag or code that fits. `checked` holds
+    (offset, codec) for the checked fields, which are one byte wide."""
     for offset, codec in checked:
         if pos + offset >= end:
             break
