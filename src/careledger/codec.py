@@ -85,13 +85,6 @@ class Writer:
         return b"".join(self._parts)
 
 
-def utf8(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(BAD_UTF8) from exc
-
-
 # ---------------------------------------------------------------------------
 # Read functions are generated
 # ---------------------------------------------------------------------------
@@ -140,6 +133,15 @@ class Source:
         self.line("if pos > end:")
         self.line("    raise EncodingError(TRUNCATED)")
         return start
+
+    def text(self, start: str) -> str:
+        """The UTF-8 text of `data[start:pos]`: returns its name."""
+        text = self.local("text")
+        self.line("try:")
+        self.line(f"    {text} = data[{start} : pos].decode('utf-8')")
+        self.line("except UnicodeDecodeError as exc:")
+        self.line(f"    raise EncodingError({BAD_UTF8!r}) from exc")
+        return text
 
     def values(self, codecs) -> list[str]:
         """Emit `codecs` in order, each run of fixed-width ones as one unpack;
@@ -294,12 +296,7 @@ class Str(Codec):
         w.string(value, self.bound)
 
     def emit(self, src: Source) -> str:
-        start, text = src.sized(self.bound), src.local("text")
-        src.line("try:")
-        src.line(f"    {text} = data[{start} : pos].decode('utf-8')")
-        src.line("except UnicodeDecodeError as exc:")
-        src.line(f"    raise EncodingError({BAD_UTF8!r}) from exc")
-        return text
+        return src.text(src.sized(self.bound))
 
 
 class Raw(Fixed):
@@ -334,11 +331,6 @@ class Enumerated(Fixed):
 
     def value(self, src: Source, raw: str) -> str:
         return f"{src.const(self.members, self.name)}[{raw}]"
-
-    def member(self, code: int):
-        if code > self.limit:
-            self.refuse(code)
-        return self.members[code]
 
     def key(self, value) -> int:
         return self.codes[value]

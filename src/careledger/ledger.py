@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -39,7 +39,6 @@ from .codec import (
     Str,
     Struct,
     Writer,
-    utf8,
     wire,
 )
 from .errors import ChainError, EncodingError
@@ -70,48 +69,87 @@ def parse_category(name: str) -> Category:
         raise EncodingError(f"unknown record category {name!r}") from None
 
 
-@dataclass(frozen=True, order=True)
 class PrincipalId:
-    """Network identity: (kind, opaque id). Ids are 1-64 printable ASCII bytes."""
+    """Network identity: (kind, opaque id). Ids are 1-64 printable ASCII bytes.
 
+    Interned: `PrincipalId(kind, id)` returns the one instance for that pair,
+    as does the decoder, so equality and hashing are object identity, and a
+    copy, deep copy or unpickled principal is that same instance. The kind
+    (a `Kind` or its value) and the id are checked only when the instance is
+    first built; an invalid pair is never stored, so it raises every time.
+    Principals sort by (kind value, id).
+    """
+
+    __slots__ = ("kind", "id", "_key")
     kind: Kind
     id: str
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.id) <= ID_BOUND:
-            raise EncodingError(f"principal id length out of range: {self.id!r}")
-        if not (self.id.isascii() and self.id.isprintable()):  # 0x20-0x7E
-            raise EncodingError(f"principal id not printable ASCII: {self.id!r}")
+    def __new__(cls, kind: Kind | str, id: str) -> PrincipalId:
+        principal = _PRINCIPALS.get((kind, id))  # a Kind hashes and compares as its value
+        if principal is None:
+            try:
+                kind = Kind(kind)
+            except ValueError:
+                raise EncodingError(f"unknown principal kind {kind!r}") from None
+            if not 1 <= len(id) <= ID_BOUND:
+                raise EncodingError(f"principal id length out of range: {id!r}")
+            if not (id.isascii() and id.isprintable()):  # 0x20-0x7E
+                raise EncodingError(f"principal id not printable ASCII: {id!r}")
+            principal = object.__new__(cls)
+            for name, value in (("kind", kind), ("id", id), ("_key", (kind.value, id))):
+                object.__setattr__(principal, name, value)
+            _PRINCIPALS[kind, id] = principal
+        return principal
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError("a PrincipalId is shared and immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PrincipalId, (self.kind, self.id)
+
+    # `a > b` and `a <= b` run as their reflections `b < a` and `b >= a`.
+    def __lt__(self, other):
+        return self._key < other._key if type(other) is PrincipalId else NotImplemented
+
+    def __ge__(self, other):
+        return self._key >= other._key if type(other) is PrincipalId else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PrincipalId(kind={self.kind!r}, id={self.id!r})"
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.id}"
 
 
+_PRINCIPALS: dict[tuple[Kind, str], PrincipalId] = {}
+
+
 class _Principal(Codec):
-    """Kind code, then the id as a bounded string. Sorts as PrincipalId does
-    (by the kind's value, then the id); shows in audit records as the id."""
+    """Kind code, then the id as a bounded string; decodes through the intern
+    table. Sorts as PrincipalId does (by the kind's value, then the id);
+    shows in audit records as the id."""
 
     def write(self, w: Writer, value: PrincipalId) -> None:
         KIND.write(w, value.kind)
         w.string(value.id, ID_BOUND)
 
     def emit(self, src: Source) -> str:
+        # A damaged principal fails on its id's length, then its kind code,
+        # then its UTF-8, then `PrincipalId`'s checks; a table hit skips the call.
         code, principal = U8.emit(src), src.local("principal")
         start = src.sized(ID_BOUND)
-        src.line(f"{principal} = {src.const(_principal, 'principal_of')}({code}, data[{start} : pos])")
+        src.line(f"if {code} > {KIND.limit}:")
+        src.line(f"    {src.const(KIND.refuse, 'refuse')}({code})")
+        text, key = src.text(start), src.local("key")
+        interned, build = src.const(_PRINCIPALS.get, "interned"), src.const(PrincipalId, "PrincipalId")
+        src.line(f"{key} = {src.const(KIND.members, 'kinds')}[{code}], {text}")
+        src.line(f"{principal} = {interned}({key}) or {build}(*{key})")
         return principal
 
     def audit(self, value: PrincipalId) -> str:
         return value.id
-
-
-@lru_cache(maxsize=1024)
-def _principal(code: int, raw_id: bytes) -> PrincipalId:
-    """The principal a kind code and id bytes decode to. A ledger names a few
-    principals many times over, so decoding is cached by the exact bytes and
-    equal principals share one (immutable) instance. A bad code or id raises
-    and is not cached."""
-    return PrincipalId(KIND.member(code), utf8(raw_id))
 
 
 KIND = Enumerated(Kind)

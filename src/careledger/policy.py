@@ -89,13 +89,25 @@ class GrantRecord:
 
 @dataclass
 class PolicyState:
-    """Fold of registration, plan, grant, and revocation transactions."""
+    """Fold of registration, plan, grant, and revocation transactions.
+
+    `patient_plans` and `pair_grants` index `plans` and `grants` by patient
+    and by (grantor, grantee), in commit order. They hold the same objects,
+    so a revocation shows in both, and a decision reads only the entries of
+    the principals it names, whatever the size of the state.
+    """
 
     principals: dict[PrincipalId, bytes] = field(default_factory=dict)
     practitioner_orgs: dict[str, PrincipalId] = field(default_factory=dict)
     org_order: list[PrincipalId] = field(default_factory=list)
     plans: dict[str, TreatmentPlan] = field(default_factory=dict)
     grants: dict[str, GrantRecord] = field(default_factory=dict)
+    patient_plans: dict[PrincipalId, list[TreatmentPlan]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    pair_grants: dict[tuple[PrincipalId, PrincipalId], list[GrantRecord]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def check(self, tx: Transaction) -> Optional[PolicyError]:
         """None when `tx` meets its payload type's rules against this state,
@@ -193,11 +205,11 @@ class PolicyState:
             elif p.subject.kind is Kind.PRACTITIONER:
                 self.practitioner_orgs[p.subject.id] = p.org_binding
         elif isinstance(p, CreatePlan):
-            self.plans[p.plan_id] = TreatmentPlan(
-                p.plan_id, p.patient, p.member_orgs, p.practitioners, tx.timestamp
-            )
+            plan = TreatmentPlan(p.plan_id, p.patient, p.member_orgs, p.practitioners, tx.timestamp)
+            self.plans[p.plan_id] = plan
+            self.patient_plans.setdefault(p.patient, []).append(plan)
         elif isinstance(p, GrantAccess):
-            self.grants[p.grant_id] = GrantRecord(
+            grant = GrantRecord(
                 p.grant_id,
                 p.plan_id,
                 p.grantor,
@@ -207,6 +219,8 @@ class PolicyState:
                 p.valid_until,
                 order=(height, position),
             )
+            self.grants[p.grant_id] = grant
+            self.pair_grants.setdefault((p.grantor, p.grantee), []).append(grant)
         elif isinstance(p, RevokeAccess):
             self.grants[p.grant_id].revoked_at = tx.timestamp
 
@@ -216,7 +230,8 @@ class PolicyState:
         return list(self.org_order)
 
     def plans_of(self, patient: PrincipalId) -> list[TreatmentPlan]:
-        return [pl for pl in self.plans.values() if pl.patient == patient]
+        """The patient's plans in commit order (the index's own list)."""
+        return self.patient_plans.get(patient, [])
 
 
 _refuse = PolicyError.refuse
@@ -332,11 +347,7 @@ def _evaluate_grants(
         return Decision(Verdict.DENY, Reason.NOT_PLAN_MEMBER)
     plan_ids = {plan.plan_id for plan in candidate_plans}
 
-    relevant = [
-        g
-        for g in state.grants.values()
-        if g.grantor == patient and g.grantee == requester and g.plan_id in plan_ids
-    ]
+    relevant = [g for g in state.pair_grants.get((patient, requester), ()) if g.plan_id in plan_ids]
     if not relevant:
         return Decision(Verdict.DENY, Reason.NO_GRANT)
 

@@ -130,7 +130,7 @@ def test_timestamp_difference_is_local_to_timestamp_bytes():
 
 
 def test_decoded_principals_are_checked_every_time():
-    # Decoding caches principals by their bytes; a bad kind code or id is
+    # Decoding goes through the intern table; a bad kind code or id is
     # still refused, on every attempt, after a good one was decoded.
     good = canonical_encode(_tx(1000))
     first, second = decode_transaction(good), decode_transaction(good)
@@ -141,6 +141,16 @@ def test_decoded_principals_are_checked_every_time():
     for data in (bad_kind, bad_id, bad_kind, bad_id):
         with pytest.raises(EncodingError):
             decode_transaction(data)
+
+
+_PRINTABLE_ID = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=6)
+
+
+@given(st.lists(st.tuples(st.sampled_from(Kind), _PRINTABLE_ID)))
+@settings(max_examples=200, deadline=None)
+def test_principals_sort_by_kind_value_then_id(pairs):
+    principals = [PrincipalId(kind, id) for kind, id in pairs]
+    assert sorted(principals) == sorted(principals, key=lambda p: (p.kind.value, p.id))
 
 
 def _principal(rng: random.Random, kind: Optional[Kind] = None) -> PrincipalId:

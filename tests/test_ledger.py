@@ -1,7 +1,9 @@
 """Hashing, signing, block construction, chain validation, audit, persistence."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import struct
 
@@ -10,7 +12,7 @@ import pytest
 from careledger import crypto
 from careledger import ledger as ledger_mod
 from careledger.cli import main
-from careledger.errors import ChainError
+from careledger.errors import ChainError, EncodingError
 from careledger.ledger import (
     Block,
     Category,
@@ -468,6 +470,71 @@ class TestPersistence:
                 "tx_id", "height", "timestamp", "actor", "actor_org",
                 "action", "subject", "detail",
             }
+
+
+class TestInterning:
+    """One PrincipalId per (kind, id): built, decoded, copied or forked."""
+
+    def test_equality_and_hash_are_identity(self):
+        p = PrincipalId(Kind.PATIENT, "p001")
+        assert type(p).__eq__ is object.__eq__
+        assert type(p).__hash__ is object.__hash__
+        assert PrincipalId("patient", "p001") is p
+        assert p != (Kind.PATIENT, "p001")
+
+    def test_kind_is_normalised_and_an_unknown_kind_refused(self):
+        p = PrincipalId("patient", "p-kind")
+        assert p.kind is Kind.PATIENT
+        assert str(p) == "patient:p-kind"
+        for _ in range(2):
+            with pytest.raises(EncodingError, match="unknown principal kind 'nonsense'"):
+                PrincipalId("nonsense", "p-kind")
+
+    def test_an_invalid_id_raises_every_time(self):
+        for bad in ("", "x" * 65, "tab\there"):
+            for _ in range(2):
+                with pytest.raises(EncodingError):
+                    PrincipalId(Kind.PATIENT, bad)
+
+    def test_a_principal_is_immutable(self):
+        p = PrincipalId(Kind.PATIENT, "p001")
+        with pytest.raises(AttributeError):
+            p.id = "p002"
+        assert p.id == "p001"
+
+    def test_decoded_principals_are_the_constructed_ones(self, tmp_path):
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        write_ledger(ledger, str(path))
+        loaded = read_ledger(str(path))
+        decoded = [(b.proposer, *(org for org, _ in b.endorsements)) for b in loaded.blocks]
+        decoded += [(tx.author, tx.author_org) for _, _, tx in loaded.transactions()]
+        for principals in decoded:
+            for p in principals:
+                assert p is PrincipalId(p.kind, p.id)
+        assert loaded.blocks[-1].transactions[0].author is ledger.blocks[-1].transactions[0].author
+
+    def test_copies_and_pickles_are_the_same_instance(self):
+        p = PrincipalId(Kind.PRACTITIONER, "nurse1")
+        assert copy.copy(p) is p
+        assert copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+        tx = fixture_tx()
+        assert pickle.loads(pickle.dumps(tx)).author is tx.author
+        assert copy.deepcopy(tx).payload.patient is tx.payload.patient
+
+    def test_a_fork_keeps_identity_and_its_lookups(self):
+        sim = build_care_sim()
+        fork = sim.fork()
+        state = fork.nodes["hospital"].policy
+        for p in state.principals:
+            assert p is PrincipalId(p.kind, p.id)
+        assert PrincipalId(Kind.PATIENT, "p001") in state.principals
+        assert [plan.plan_id for plan in state.plans_of(PrincipalId(Kind.PATIENT, "p001"))] == ["plan1"]
+        fork.revoke_access("p001", "g001")
+        fork.settle()
+        assert state.grants["g001"].revoked_at is not None
+        assert sim.nodes["hospital"].policy.grants["g001"].revoked_at is None
 
 
 # Fixtures that together commit all 13 payload types, plus case1_fault (a

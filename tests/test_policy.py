@@ -449,6 +449,44 @@ def test_evaluate_matches_brute_force_oracle(seed):
     assert checked > 150
 
 
+class _Unscannable(dict):
+    def _scan(self, *args):
+        raise AssertionError("a decision scanned the whole state")
+
+    values = items = keys = __iter__ = _scan
+
+
+@pytest.mark.parametrize("seed", [11, 23, 37])  # 58 commits no plan
+def test_evaluate_reads_only_the_named_principals_entries(seed):
+    """A decision reads the patient's plans and the (grantor, grantee)
+    grants through the fold's indexes, never by scanning every plan and
+    grant, and decides exactly as before."""
+    sim, practitioners, orgs, patients, grant_windows = _scenario_sim(seed)
+    state = sim.nodes[orgs[0]].policy
+    grid = _time_grid(sim, grant_windows)
+    requests = [
+        (
+            P(Kind.PRACTITIONER, requester),
+            state.practitioner_orgs[requester],
+            P(Kind.ORGANIZATION, sender),
+            P(Kind.PATIENT, patient),
+            category,
+            at,
+            emergency,
+        )
+        for requester in practitioners
+        for sender in orgs
+        for patient in patients
+        for category in Category
+        for at in grid
+        for emergency in (False, True)
+    ]
+    before = [evaluate_request(state, *request) for request in requests]
+    state.plans, state.grants = _Unscannable(state.plans), _Unscannable(state.grants)
+    assert [evaluate_request(state, *request) for request in requests] == before
+    assert len(set(before)) > 1
+
+
 @pytest.mark.parametrize("seed", [11, 37])
 def test_revocation_is_monotone(seed):
     """Adding a revocation never turns a deny into an allow."""
