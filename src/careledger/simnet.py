@@ -193,7 +193,8 @@ class MatchState:
     researcher: PrincipalId
     descriptors: tuple[str, ...]
     study: Optional[str]
-    outstanding: set[str] = field(default_factory=set)
+    # Participant id -> its host organization, the only org whose reply counts.
+    outstanding: dict[str, str] = field(default_factory=dict)
     matched: set[str] = field(default_factory=set)
 
 
@@ -295,9 +296,13 @@ class Simulation:
     def _msg_detail(from_org: str, to_org: str, message: dict) -> dict:
         """Trace detail of a message, shared by its send and delivery events."""
         detail = {"from": from_org, "to": to_org, "type": message["type"]}
-        if message["type"] == "match_response":
-            detail["disclosed"] = sorted(message["disclosures"])
-            detail["refused"] = message.get("refused", False)
+        if message["type"] == "match_challenge":
+            detail["participants"] = len(message["participants"])
+        elif message["type"] == "match_response":
+            replies = message["replies"].values()
+            detail["participants"] = len(message["replies"])
+            detail["disclosed"] = sorted({d for disclosures in replies if disclosures for d in disclosures})
+            detail["refused"] = sum(disclosures is None for disclosures in replies)
         return detail
 
     def _send(self, from_org: str, to_org: str, message: dict) -> None:
@@ -939,19 +944,21 @@ class Simulation:
         match_id = self._match_ids
         state = MatchState(match_id, researcher, tuple(descriptors), study)
         self.matches[match_id] = state
+        batches: dict[str, list[str]] = {}
         for pid in sorted(via.consent.profiles):
-            profile = via.consent.profiles[pid]
-            if not profile.effective_discoverable(study):
-                continue
-            state.outstanding.add(pid)
+            if via.consent.profiles[pid].effective_discoverable(study):
+                host = state.outstanding[pid] = self.host_org[pid]
+                batches.setdefault(host, []).append(pid)
+        # One challenge per host organization, naming its participants.
+        for host in sorted(batches):
             self._send(
                 via.org.id,
-                self.host_org[pid],
+                host,
                 {
                     "type": "match_challenge",
                     "match_id": match_id,
-                    "participant": pid,
-                    "descriptors": tuple(descriptors),
+                    "participants": tuple(batches[host]),
+                    "descriptors": state.descriptors,
                     "study": study,
                     "reply_to": via.org.id,
                 },
@@ -959,47 +966,52 @@ class Simulation:
         return match_id
 
     def _on_match_challenge(self, node: Node, from_org: str, message: dict) -> None:
-        pid = message["participant"]
-        profile = node.consent.profiles.get(pid)
-        salts = node.profile_salts.get(pid, {})
-        disclosures: dict[str, bytes] = {}
-        refused = True
-        if profile is not None and profile.effective_discoverable(message["study"]):
-            refused = False
+        """Answer for each named participant with its disclosed salts, or
+        None (a refusal) when `node` does not see it discoverable."""
+        replies: dict[str, Optional[dict[str, bytes]]] = {}
+        for pid in message["participants"]:
+            profile = node.consent.profiles.get(pid)
+            if profile is None or not profile.effective_discoverable(message["study"]):
+                replies[pid] = None
+                continue
             # Selective disclosure: only salts for queried descriptors the
             # participant actually holds ever cross the wire.
-            for descriptor in message["descriptors"]:
-                if descriptor in salts:
-                    disclosures[descriptor] = salts[descriptor]
+            salts = node.profile_salts.get(pid, {})
+            replies[pid] = {d: salts[d] for d in message["descriptors"] if d in salts}
         self._send(
             node.org.id,
             message["reply_to"],
-            {
-                "type": "match_response",
-                "match_id": message["match_id"],
-                "participant": pid,
-                "disclosures": disclosures,
-                "refused": refused,
-            },
+            {"type": "match_response", "match_id": message["match_id"], "replies": replies},
         )
 
     def _on_match_response(self, node: Node, from_org: str, message: dict) -> None:
+        """Check each reply entry against the participant's commitments. An
+        entry counts only from the participant's host; one from any other
+        org is dropped, and the message traced as `not_author`."""
         state = self.matches.get(message["match_id"])
         if state is None:
             return
-        pid = message["participant"]
-        if pid not in state.outstanding:
-            return
-        state.outstanding.discard(pid)
-        profile = node.consent.profiles.get(pid)
-        if profile is not None and not message.get("refused", False):
-            proven = {
-                descriptor
-                for descriptor, salt in message["disclosures"].items()
-                if consent_mod.verify_disclosure(profile, descriptor, salt)
-            }
-            if proven.issuperset(state.descriptors):
-                state.matched.add(pid)
+        forged = False
+        for pid, disclosures in message["replies"].items():
+            host = state.outstanding.get(pid)
+            if host != from_org:
+                forged |= host is not None
+                continue
+            del state.outstanding[pid]
+            profile = node.consent.profiles.get(pid)
+            if profile is not None and disclosures is not None:
+                proven = {
+                    descriptor
+                    for descriptor, salt in disclosures.items()
+                    if consent_mod.verify_disclosure(profile, descriptor, salt)
+                }
+                if proven.issuperset(state.descriptors):
+                    state.matched.add(pid)
+        if forged:
+            self._trace(
+                "msg_delivered",
+                {"to": node.org.id, "from": from_org, "type": "match_response", "dropped": "not_author"},
+            )
 
     def match_result(self, match_id: int) -> list[str]:
         state = self.matches.get(match_id)

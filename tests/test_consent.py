@@ -15,7 +15,7 @@ from careledger.consent import (
     quiz_hash,
     verify_consent_signature,
 )
-from careledger.errors import ConsentError
+from careledger.errors import ConsentError, SimError
 from careledger.ledger import (
     ZERO_HASH,
     ConsentInvited,
@@ -491,6 +491,135 @@ class TestProfilesAndMatching:
             m = sim.start_match("drx", sorted(query))
             sim.settle()
             assert set(sim.match_result(m)) == match_oracle(profiles, query)
+
+    def test_non_host_cannot_suppress_a_participant(self):
+        sim = profile_sim({"A": ({"biobank"}, True)})
+        assert sim.host_org["A"] == "uni"
+        m = sim.start_match("drx", ["biobank"])
+        # biobank does not host A; its refusal must not count, nor drop uni's reply.
+        sim._ev_deliver("biobank", "uni", {"type": "match_response", "match_id": m, "replies": {"A": None}})
+        sim.settle()
+        assert sim.match_result(m) == ["A"]
+        dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert dropped == [{"to": "uni", "from": "biobank", "type": "match_response", "dropped": "not_author"}]
+
+
+ORGS4 = ["uni", "biobank", "clinic", "lab"]
+
+
+def _hosted_at(sim: Simulation, org: str, register) -> None:
+    """Run `register` with the orgs ahead of `org` down, so the entry node,
+    and so the host, is `org`; three of four members still commit."""
+    ahead = ORGS4[: ORGS4.index(org)]
+    for name in ahead:
+        sim.inject_fault(name, "down")
+    register()
+    sim.settle()
+    for name in ahead:
+        sim.inject_fault(name, "up")
+    sim.settle()
+
+
+def hosted_sim(hosts: dict[str, dict[str, tuple[set, bool]]], researcher_at: str, seed=31) -> Simulation:
+    """A four-org network whose participants live at the given host orgs."""
+    sim = spawn_network(ORGS4, SimConfig(seed=seed))
+    _hosted_at(sim, researcher_at, lambda: sim.register_person(Kind.RESEARCHER, "drx"))
+    for org, profiles in hosts.items():
+        for pid in sorted(profiles):
+            _hosted_at(sim, org, lambda: sim.register_person(Kind.PARTICIPANT, pid))
+            assert sim.host_org[pid] == org
+            descriptors, discoverable = profiles[pid]
+            sim.publish_profile(pid, sorted(descriptors), discoverable)
+            sim.settle()
+    return sim
+
+
+def _capture_responses(sim: Simulation) -> list[tuple[str, dict]]:
+    """Every match_response delivered from now on, as (sender, message)."""
+    delivered = []
+    handler = sim._on_match_response
+
+    def capture(node, from_org, message):
+        delivered.append((from_org, message))
+        handler(node, from_org, message)
+
+    sim._on_match_response = capture
+    return delivered
+
+
+class TestMatchBatches:
+    def test_a_down_host_holds_the_match_open(self):
+        profiles = {"A": ({"biobank", "registry"}, True), "B": ({"biobank"}, True), "C": ({"biobank"}, False)}
+        sim = hosted_sim({"uni": profiles}, researcher_at="biobank")
+        sim.inject_fault("uni", "down")
+        m = sim.start_match("drx", ["biobank"])
+        sim.settle()
+        with pytest.raises(SimError, match="match still outstanding"):
+            sim.match_result(m)
+        sim.inject_fault("uni", "up")
+        sim.settle()
+        assert set(sim.match_result(m)) == match_oracle(profiles, {"biobank"}) == {"A", "B"}
+
+    @pytest.mark.parametrize("per_host", [1, 5])
+    def test_one_challenge_and_one_response_per_host(self, per_host):
+        rng = random.Random(per_host)
+        universe = [f"src{i}" for i in range(6)]
+        # With several participants per host, each host's first is hidden.
+        hosts = {
+            org: {
+                f"{org}{i}": (set(rng.sample(universe, rng.randint(1, 4))), i > 0 or per_host == 1)
+                for i in range(per_host)
+            }
+            for org in ("uni", "biobank")
+        }
+        profiles = {pid: profile for group in hosts.values() for pid, profile in group.items()}
+        sim = hosted_sim(hosts, researcher_at="uni", seed=31 + per_host)
+        salts = {pid: sim.nodes[org].profile_salts[pid] for org, group in hosts.items() for pid in group}
+        delivered = _capture_responses(sim)
+        for _ in range(4):
+            query = set(rng.sample(universe, rng.randint(1, 3)))
+            start, first = len(sim.trace), len(delivered)
+            m = sim.start_match("drx", sorted(query))
+            sim.settle()
+            assert set(sim.match_result(m)) == match_oracle(profiles, query)
+            sent = [e.detail for e in sim.trace[start:] if e.kind == "msg_sent"]
+            challenges = sorted(d["to"] for d in sent if d["type"] == "match_challenge")
+            responses = sorted(d["from"] for d in sent if d["type"] == "match_response")
+            assert challenges == responses == ["biobank", "uni"]
+            for from_org, message in delivered[first:]:
+                assert set(message["replies"]) == {pid for pid in hosts[from_org] if profiles[pid][1]}
+                for pid, disclosures in message["replies"].items():
+                    assert disclosures is not None
+                    assert set(disclosures).issubset(query)
+                    hidden = {salt for d, salt in salts[pid].items() if d not in query}
+                    assert hidden.isdisjoint(disclosures.values())
+                    assert disclosures == {d: salts[pid][d] for d in query if d in salts[pid]}
+
+    def test_host_refuses_a_participant_it_sees_non_discoverable(self):
+        profiles = {"H": ({"biobank"}, True), "V": ({"biobank"}, True)}
+        sim = hosted_sim({"biobank": profiles}, researcher_at="uni")
+        sim.publish_profile("H", ["biobank"], True, study_overrides={"s1": False})
+        sim.settle()
+        delivered = _capture_responses(sim)
+        m = sim.start_match("drx", ["biobank"], study="s1")
+        # A challenge naming H as well: biobank sees H hidden from s1.
+        sim._ev_deliver(
+            "uni",
+            "biobank",
+            {
+                "type": "match_challenge",
+                "match_id": m,
+                "participants": ("H", "V"),
+                "descriptors": ("biobank",),
+                "study": "s1",
+                "reply_to": "uni",
+            },
+        )
+        sim.settle()
+        assert sim.match_result(m) == ["V"]
+        replies = [message["replies"] for _, message in delivered]
+        assert {"H": None, "V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
+        assert {"V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
 
 
 def test_every_signature_in_fixture_run_verifies(fixtures_dir):

@@ -566,7 +566,7 @@ GOLDEN = {
     "case2_match": (
         "6372d6efce81ebcff53b33f1a3f3953358049f38a98dff0c971c1b832e476b39",
         "8f667076fdef1bdcdb6c325139e1e844a9d6ef7f3027f7b9bc82b0872ac2709e",
-        "b221c830350d7703762221eecd8f257fdc87a99e360219a5ec3f835375aac9c8",
+        "c9a0c07f1152dbe59ef50260754cbfe9144b88ac2da5cc141b927e1b3c6ced9b",
     ),
     "shred": (
         "8d85c2a6c3b1092b12bef327061a90a50f95d4cff49b8eb3e4226b4f396051a0",
