@@ -120,13 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         block_interval=args.block_interval,
         session_ttl=args.session_ttl,
     )
-    try:
-        sim, outputs = run_scenario(
-            script_path.read_text(), config, base_dir=script_path.parent
-        )
-    except ScriptError as exc:
-        print(f"script error: {exc}", file=sys.stderr)
-        return 2
+    sim, outputs = run_scenario(script_path.read_text(), config, base_dir=script_path.parent)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / TRACE_FILE).write_text("".join(line + "\n" for line in sim.trace_lines()))
@@ -297,6 +291,10 @@ def cmd_shred_check(args: argparse.Namespace) -> int:
     except (ChainError, OSError) as exc:
         print(f"unreadable ledger: {exc}", file=sys.stderr)
         return 2
+    report = validate_chain(ledger)
+    if not report.ok:
+        print(str(report.violation), file=sys.stderr)
+        return 1
     commitments = set()
     for _, _, tx in ledger.transactions():
         if isinstance(tx.payload, RegisterPrincipal) and tx.payload.identity_commitment:

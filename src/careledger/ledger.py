@@ -600,6 +600,32 @@ class LedgerState:
                 yield block.height, pos, tx
 
 
+class Registry(dict):
+    """The key on file for each registered principal, folded from
+    registrations, with `members`, the member organizations in registration
+    order. The first key on file stays, and an organization joins `members`
+    once; chain validation and every node's fold apply this one rule."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.members: list[PrincipalId] = []
+
+    def register(self, p: RegisterPrincipal) -> bool:
+        """File `p`'s key unless its subject has one; True when it was filed."""
+        if p.subject in self:
+            return False
+        self[p.subject] = p.public_key
+        if p.subject.kind is Kind.ORGANIZATION:
+            self.members.append(p.subject)
+        return True
+
+    def fold(self, block: Block) -> None:
+        """Register each of `block`'s registrations, in block order."""
+        for tx in block.transactions:
+            if isinstance(tx.payload, RegisterPrincipal):
+                self.register(tx.payload)
+
+
 @dataclass(frozen=True)
 class Violation:
     height: int
@@ -617,19 +643,6 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _fold_registrations(
-    block: Block, registry: dict[PrincipalId, bytes], members: list[PrincipalId]
-) -> None:
-    """Add the block's registrations to `registry` (the first key on file
-    wins) and its newly registered organizations to `members`."""
-    for tx in block.transactions:
-        p = tx.payload
-        if isinstance(p, RegisterPrincipal) and p.subject not in registry:
-            registry[p.subject] = p.public_key
-            if p.subject.kind is Kind.ORGANIZATION and p.subject not in members:
-                members.append(p.subject)
 
 
 def check_proposal(
@@ -663,28 +676,24 @@ def check_proposal(
     return None
 
 
-def check_block(
-    prev: Optional[Block],
-    block: Block,
-    registry: dict[PrincipalId, bytes],
-    members: list[PrincipalId],
-) -> Optional[Violation]:
+def check_block(prev: Optional[Block], block: Block, registry: Registry) -> Optional[Violation]:
     """The rules a block must meet to be committed after `prev`.
 
-    `registry` and `members` are the keys and member organizations in force
-    before the block; genesis is measured against its own registrations
-    instead. On top of `check_proposal`: the proposer is a member, every
-    listed endorsement comes from a distinct member and verifies (a single
-    bad one is a violation even when the quorum margin would absorb it), and
-    there are at least a quorum of them.
+    `registry` holds the keys and member organizations in force before the
+    block; genesis is measured against its own registrations instead. On top
+    of `check_proposal`: the proposer is a member, every listed endorsement
+    comes from a distinct member and verifies (a single bad one is a
+    violation even when the quorum margin would absorb it), and there are at
+    least a quorum of them.
     """
     violation = check_proposal(prev, block, registry)
     if violation is not None:
         return violation
     height = block.height
     if prev is None:
-        registry, members = {}, []
-        _fold_registrations(block, registry, members)
+        registry = Registry()
+        registry.fold(block)
+    members = registry.members
     if block.proposer not in members:
         return Violation(height, "proposer", f"{block.proposer} not a member organization")
     seen: set[PrincipalId] = set()
@@ -714,14 +723,13 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
     registered at height h counts toward the quorum denominator from height
     h+1.
     """
-    registry: dict[PrincipalId, bytes] = {}
-    members: list[PrincipalId] = []
+    registry = Registry()
     prev: Optional[Block] = None
     for block in ledger.blocks:
-        violation = check_block(prev, block, registry, members)
+        violation = check_block(prev, block, registry)
         if violation is not None:
             return ValidationReport(False, violation)
-        _fold_registrations(block, registry, members)
+        registry.fold(block)
         prev = block
     return ValidationReport(True)
 

@@ -26,6 +26,7 @@ from .ledger import (
     Kind,
     PrincipalId,
     RegisterPrincipal,
+    Registry,
     RevokeAccess,
     Transaction,
 )
@@ -97,9 +98,8 @@ class PolicyState:
     the principals it names, whatever the size of the state.
     """
 
-    principals: dict[PrincipalId, bytes] = field(default_factory=dict)
+    principals: Registry = field(default_factory=Registry)
     practitioner_orgs: dict[str, PrincipalId] = field(default_factory=dict)
-    org_order: list[PrincipalId] = field(default_factory=list)
     plans: dict[str, TreatmentPlan] = field(default_factory=dict)
     grants: dict[str, GrantRecord] = field(default_factory=dict)
     patient_plans: dict[PrincipalId, list[TreatmentPlan]] = field(
@@ -199,10 +199,7 @@ class PolicyState:
         """Fold a transaction that passed `check` against this state."""
         p = tx.payload
         if isinstance(p, RegisterPrincipal):
-            self.principals[p.subject] = p.public_key
-            if p.subject.kind is Kind.ORGANIZATION:
-                self.org_order.append(p.subject)
-            elif p.subject.kind is Kind.PRACTITIONER:
+            if self.principals.register(p) and p.subject.kind is Kind.PRACTITIONER:
                 self.practitioner_orgs[p.subject.id] = p.org_binding
         elif isinstance(p, CreatePlan):
             plan = TreatmentPlan(p.plan_id, p.patient, p.member_orgs, p.practitioners, tx.timestamp)
@@ -225,9 +222,6 @@ class PolicyState:
             self.grants[p.grant_id].revoked_at = tx.timestamp
 
     # -- lookups -----------------------------------------------------------
-
-    def quorum_members(self) -> list[PrincipalId]:
-        return list(self.org_order)
 
     def plans_of(self, patient: PrincipalId) -> list[TreatmentPlan]:
         """The patient's plans in commit order (the index's own list)."""

@@ -361,7 +361,7 @@ class Simulation:
         traced as a dropped `sync` message."""
         for block in source.ledger.blocks[node.ledger.height + 1 :]:
             prev = node.ledger.blocks[-1] if node.ledger.blocks else None
-            violation = check_block(prev, block, node.policy.principals, node.policy.quorum_members())
+            violation = check_block(prev, block, node.policy.principals)
             if violation is not None:
                 self._trace(
                     "msg_delivered",
@@ -381,7 +381,7 @@ class Simulation:
         basis = self._highest_online()
         if basis is None:
             return None
-        members = basis.policy.quorum_members()
+        members = basis.policy.principals.members
         online = sum(self.nodes[m.id].online for m in members)
         return basis if online >= quorum(len(members)) else None
 
@@ -399,7 +399,7 @@ class Simulation:
         basis = self._quorum_basis() if self.round is None else None
         if basis is None:
             return
-        members = basis.policy.quorum_members()
+        members = basis.policy.principals.members
         height = basis.ledger.height + 1
         turn = height % len(members)
         proposer = next(self.nodes[m.id] for m in members[turn:] + members[:turn] if self.nodes[m.id].online)
@@ -465,18 +465,14 @@ class Simulation:
         self.round = None
         final = self.last_committed = _sealed(state.block, state.endorsements)
         proposer = self.nodes[state.proposer]
-        members = [m.id for m in proposer.policy.quorum_members()]
+        members = [m.id for m in proposer.policy.principals.members]
         self._commit(proposer, final)
         for org_id in members:
             if org_id == state.proposer:
                 continue
             node = self.nodes.get(org_id)
             if node is not None and node.online:
-                self._send(
-                    state.proposer,
-                    org_id,
-                    {"type": "commit", "round_id": state.round_id, "block": final},
-                )
+                self._send(state.proposer, org_id, {"type": "commit", "block": final})
 
     # -- message handlers -------------------------------------------------------
 
@@ -531,7 +527,7 @@ class Simulation:
         key = node.policy.principals.get(org)
         if key is None or not crypto.verify(key, message["sig"], state.block.hash):
             dropped = "signature"
-        elif org not in node.policy.quorum_members():
+        elif org not in node.policy.principals.members:
             dropped = "endorsement"  # the block rule a non-member's endorsement breaks
         else:
             state.endorsements[org.id] = message["sig"]
@@ -548,7 +544,7 @@ class Simulation:
             self._replay(node, self._highest_online())
         if block.height != node.ledger.height + 1:
             return
-        violation = check_block(node.ledger.tip(), block, node.policy.principals, node.policy.quorum_members())
+        violation = check_block(node.ledger.tip(), block, node.policy.principals)
         if violation is not None:
             self._trace("msg_delivered", {"to": node.org.id, "type": "commit", "dropped": violation.rule})
             return

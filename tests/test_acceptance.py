@@ -189,7 +189,7 @@ def test_acceptance_2_policy_oracle_equivalence():
     total += _grid_check(
         "case1", node.policy, node.ledger,
         sorted(node.policy.practitioner_orgs),
-        [o.id for o in node.policy.org_order],
+        [o.id for o in node.policy.principals.members],
         sorted(p.id for p in node.policy.principals if p.kind is Kind.PATIENT),
     )
     # Randomized scenarios within the stated bounds (<=5 orgs, <=10 grants).

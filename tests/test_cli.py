@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from careledger.cli import main
-from careledger.ledger import read_ledger, write_ledger
+from careledger.ledger import Kind, PrincipalId, RegisterPrincipal, read_ledger, write_ledger
 
 from conftest import FIXTURES
 
@@ -224,6 +224,24 @@ class TestShredCheck:
 
     def test_unknown_org_exit_2(self, shred_out):
         assert main(["shred-check", str(shred_out), "nowhere"]) == 2
+
+    def test_scans_only_a_chain_that_validates(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", str(FIXTURES / "shred.scn"), "--seed", "6", "--out", str(out)]) == 0
+        path = out / "homecare.ledger"
+        p001 = PrincipalId(Kind.PATIENT, "p001")
+        (commitment,) = [
+            tx.payload.identity_commitment
+            for _, _, tx in read_ledger(str(path)).transactions()
+            if isinstance(tx.payload, RegisterPrincipal) and tx.payload.subject is p001
+        ]
+        data = bytearray(path.read_bytes())
+        data[data.index(commitment)] ^= 1
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["shred-check", str(out), "homecare", "--patient", "p001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tx_root" in captured.err
 
 
 class TestExitCodeTable:

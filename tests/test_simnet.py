@@ -7,7 +7,18 @@ import pytest
 from careledger import crypto
 from careledger.errors import ScriptError, SimError
 from careledger.exchange import submit_request
-from careledger.ledger import Category, Kind, PrincipalId, quorum, validate_chain
+from careledger.ledger import (
+    Category,
+    Kind,
+    PrincipalId,
+    RegisterPrincipal,
+    Transaction,
+    build_block,
+    endorse_block,
+    quorum,
+    sign_tx,
+    validate_chain,
+)
 from careledger.scenario import parse_script, run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
@@ -369,6 +380,37 @@ class TestCheckedReplay:
         assert _sync_drops(sim) == [{"to": "c", "from": "a", "type": "sync", "dropped": "endorsement"}]
 
 
+def _sealed_by_all(sim, tx, prev):
+    """A block of `tx` after `prev` that org a proposes and every org
+    endorses with the key it registered at genesis."""
+    a = P(Kind.ORGANIZATION, "a")
+    block = build_block([tx], prev, a, sim.clock, sim.nodes["b"].policy.principals)
+    keys = sorted((org, key) for org, key in sim.private_keys.items() if org.kind is Kind.ORGANIZATION)
+    return replace(block, endorsements=tuple((org, endorse_block(block, key)) for org, key in keys))
+
+
+class TestRegistrationFold:
+    def test_node_fold_agrees_with_validate_chain_on_a_re_registration(self):
+        sim = spawn_network(["a", "b", "c"], SimConfig(seed=1))
+        a, node = P(Kind.ORGANIZATION, "a"), sim.nodes["b"]
+        first_key = node.policy.principals[a]
+        _, new_key = crypto.generate_keypair(sim.rng)
+        again = sign_tx(Transaction(sim.clock, a, a, RegisterPrincipal(a, new_key)), sim.private_keys[a])
+        block1 = _sealed_by_all(sim, again, node.ledger.tip())
+        p1_private, p1_public = crypto.generate_keypair(sim.rng)
+        p1 = P(Kind.PATIENT, "p1")
+        patient = sign_tx(Transaction(sim.clock, p1, a, RegisterPrincipal(p1, p1_public)), p1_private)
+        block2 = _sealed_by_all(sim, patient, block1)
+        for block in (block1, block2):
+            sim._schedule(0, "deliver", ("a", "b", {"type": "commit", "block": block}))
+        sim.tick(0)
+        assert [e.detail for e in sim.trace if "dropped" in e.detail] == []
+        assert node.ledger.height == 2
+        assert validate_chain(node.ledger).ok
+        assert node.policy.principals[a] == first_key
+        assert [m.id for m in node.policy.principals.members] == ["a", "b", "c"]
+
+
 class TestFork:
     def test_fork_is_independent(self):
         sim = build_care_sim()
@@ -378,6 +420,11 @@ class TestFork:
         assert P(Kind.PATIENT, "p777") in fork.nodes["hospital"].policy.principals
         assert P(Kind.PATIENT, "p777") not in sim.nodes["hospital"].policy.principals
         assert fork.nodes["hospital"].ledger.height == sim.nodes["hospital"].ledger.height + 1
+        fork.register_organization("clinic")
+        fork.settle()
+        clinic = P(Kind.ORGANIZATION, "clinic")
+        assert fork.nodes["hospital"].policy.principals.members[-1] is clinic
+        assert [m.id for m in sim.nodes["hospital"].policy.principals.members] == ["hospital", "homecare"]
 
     def test_fork_replays_identically(self):
         sim = build_care_sim()
