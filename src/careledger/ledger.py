@@ -566,8 +566,17 @@ def quorum(org_count: int) -> int:
 
 @dataclass
 class LedgerState:
+    """A chain and its lookups. The state grows only through `append`:
+    `height_index` and the audit-subject index both rely on that."""
+
     blocks: list[Block] = field(default_factory=list)
     height_index: dict[bytes, tuple[int, int]] = field(default_factory=dict)
+    # Audit subject -> (height, position) rows in chain order over
+    # blocks[:_indexed]; caught up by the first subject query after appends.
+    _by_subject: dict[str, list[tuple[int, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def append(self, block: Block) -> None:
         if block.height != len(self.blocks):
@@ -598,6 +607,15 @@ class LedgerState:
         for block in self.blocks:
             for pos, tx in enumerate(block.transactions):
                 yield block.height, pos, tx
+
+    def _subject_rows(self, subject: str) -> Iterator[tuple[int, int, Transaction]]:
+        """The transactions whose audit subject is `subject`, in chain order."""
+        for block in self.blocks[self._indexed:]:
+            for pos, tx in enumerate(block.transactions):
+                self._by_subject.setdefault(tx.payload.audit_subject(), []).append((block.height, pos))
+        self._indexed = len(self.blocks)
+        for height, pos in self._by_subject.get(subject, ()):
+            yield height, pos, self.blocks[height].transactions[pos]
 
 
 class Registry(dict):
@@ -776,15 +794,14 @@ def query_audit(
     """Filtered audit entries in (height, intra-block position) order.
 
     The time range is inclusive on both ends. An empty filter returns one
-    entry per committed transaction.
+    entry per committed transaction. A `subject` query reads only that
+    subject's transactions, through the ledger's subject index.
     """
     if time_from is not None and time_to is not None and time_to < time_from:
         raise ValueError(f"time range end {time_to} before start {time_from}")
+    rows = ledger.transactions() if subject is None else ledger._subject_rows(subject)
     out = []
-    for height, pos, tx in ledger.transactions():
-        tx_subject = tx.payload.audit_subject()
-        if subject is not None and tx_subject != subject:
-            continue
+    for height, pos, tx in rows:
         if actor is not None and tx.author.id != actor:
             continue
         if action is not None and tx.action != action:
@@ -802,7 +819,7 @@ def query_audit(
                 actor=tx.author,
                 actor_org=tx.author_org,
                 action=tx.action,
-                subject=tx_subject,
+                subject=tx.payload.audit_subject(),
                 detail=tx.payload.audit_detail(),
             )
         )

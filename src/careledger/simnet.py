@@ -219,7 +219,8 @@ class Simulation:
         self.identity_rows: dict[str, VaultRow] = {}
         self.quizzes: dict[str, Quiz] = {}
         self.requests: dict[bytes, RequestState] = {}
-        self.matches: dict[int, MatchState] = {}
+        # A finished match keeps only its sorted result.
+        self.matches: dict[int, MatchState | tuple[str, ...]] = {}
         self.round: Optional[RoundState] = None
         self.last_committed: Optional[Block] = None
         self._queue: list[tuple[int, int, str, tuple]] = []
@@ -939,12 +940,12 @@ class Simulation:
         self._match_ids += 1
         match_id = self._match_ids
         state = MatchState(match_id, researcher, tuple(descriptors), study)
-        self.matches[match_id] = state
         batches: dict[str, list[str]] = {}
         for pid in sorted(via.consent.profiles):
             if via.consent.profiles[pid].effective_discoverable(study):
                 host = state.outstanding[pid] = self.host_org[pid]
                 batches.setdefault(host, []).append(pid)
+        self.matches[match_id] = state if batches else ()
         # One challenge per host organization, naming its participants.
         for host in sorted(batches):
             self._send(
@@ -985,7 +986,7 @@ class Simulation:
         entry counts only from the participant's host; one from any other
         org is dropped, and the message traced as `not_author`."""
         state = self.matches.get(message["match_id"])
-        if state is None:
+        if not isinstance(state, MatchState):
             return
         forged = False
         for pid, disclosures in message["replies"].items():
@@ -1003,6 +1004,8 @@ class Simulation:
                 }
                 if proven.issuperset(state.descriptors):
                     state.matched.add(pid)
+        if not state.outstanding:
+            self.matches[state.match_id] = tuple(sorted(state.matched))
         if forged:
             self._trace(
                 "msg_delivered",
@@ -1013,9 +1016,9 @@ class Simulation:
         state = self.matches.get(match_id)
         if state is None:
             raise SimError("unknown match")
-        if state.outstanding:
+        if isinstance(state, MatchState):
             raise SimError("match still outstanding")
-        return sorted(state.matched)
+        return list(state)
 
     # -- faults ------------------------------------------------------------------
 

@@ -503,6 +503,21 @@ class TestProfilesAndMatching:
         dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
         assert dropped == [{"to": "uni", "from": "biobank", "type": "match_response", "dropped": "not_author"}]
 
+    def test_finished_matches_keep_only_their_result(self):
+        profiles = {"A": ({"biobank"}, True), "B": ({"biobank", "registry"}, True), "C": ({"biobank"}, False)}
+        sim = profile_sim(profiles)
+        queries = [["biobank"], ["registry"], ["wearables"], ["biobank", "registry"]]
+        ids = [sim.start_match("drx", query) for query in queries]
+        sim.settle()
+        assert [sim.match_result(m) for m in ids] == [sorted(match_oracle(profiles, set(q))) for q in queries]
+        # No emptied `outstanding` dict or `matched` set stays behind.
+        assert all(type(sim.matches[m]) is tuple for m in ids)
+        # A late reply to a finished match changes nothing and is not traced.
+        events = len(sim.trace)
+        sim._on_match_response(sim.nodes["uni"], "uni", {"match_id": ids[0], "replies": {"A": None, "B": None}})
+        assert len(sim.trace) == events
+        assert sim.match_result(ids[0]) == ["A", "B"]
+
 
 ORGS4 = ["uni", "biobank", "clinic", "lab"]
 

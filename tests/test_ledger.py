@@ -13,6 +13,7 @@ from careledger import crypto
 from careledger import ledger as ledger_mod
 from careledger.cli import main
 from careledger.errors import ChainError, EncodingError
+from careledger.exchange import submit_request
 from careledger.ledger import (
     Block,
     Category,
@@ -21,6 +22,7 @@ from careledger.ledger import (
     GrantAccess,
     Kind,
     LedgerState,
+    Payload,
     PrincipalId,
     ProfilePublished,
     RegisterPrincipal,
@@ -389,8 +391,6 @@ class TestAudit:
 
     def test_subject_filter_counts_accesses(self):
         sim = build_care_sim()
-        from careledger.exchange import submit_request
-
         for _ in range(3):
             sim.tick(1500)
             submit_request(
@@ -426,6 +426,79 @@ class TestAudit:
         hits = query_audit(ledger, time_from=t, time_to=t)
         assert hits
         assert all(e.timestamp == t for e in hits)
+
+
+def _every_payload_chain() -> LedgerState:
+    """case1, one emergency request, then case2's research lines: a chain
+    that carries every payload type."""
+    case2 = [line for line in (FIXTURES / "case2.scn").read_text().splitlines() if not line.startswith("org add")]
+    emergency = ["request nurse1@homecare hospital p001 vitals emergency", "tick 3000"]
+    text = "\n".join([(FIXTURES / "case1.scn").read_text(), *emergency, *case2])
+    sim, _ = run_scenario(text, SimConfig(seed=7), base_dir=FIXTURES)
+    return sim.nodes["hospital"].ledger
+
+
+def _count_audit_subject(monkeypatch) -> list:
+    """Record the payload of every audit_subject call from now on."""
+    calls = []
+    for cls in (Payload, *Payload.__subclasses__()):
+        if "audit_subject" in vars(cls):
+            original = vars(cls)["audit_subject"]
+            monkeypatch.setattr(cls, "audit_subject", lambda self, f=original: calls.append(self) or f(self))
+    return calls
+
+
+class TestSubjectIndex:
+    def test_index_agrees_with_scan(self):
+        full = _every_payload_chain()
+        txs = [tx for _, _, tx in full.transactions()]
+        assert {tx.action for tx in txs} == {cls.__name__ for cls in Payload.__subclasses__()}
+        subjects = sorted({tx.payload.audit_subject() for tx in txs} | {"", "nobody"})
+        actors, actions = sorted({tx.author.id for tx in txs}), sorted({tx.action for tx in txs})
+        times = sorted({tx.timestamp for tx in txs})
+        rng = random.Random(13)
+        grown = LedgerState()
+        for block in full.blocks:
+            grown.append(block)
+            if rng.random() < 0.4:
+                continue
+            lo, hi = sorted(rng.sample(times, 2))
+            for filters in ({}, {"actor": rng.choice(actors)}, {"action": rng.choice(actions)},
+                            {"time_from": lo, "time_to": hi}):
+                scan = query_audit(grown, **filters)
+                for subject in subjects:
+                    expected = [e for e in scan if e.subject == subject]
+                    assert query_audit(grown, subject=subject, **filters) == expected
+
+    def test_index_catches_up_with_new_commits(self):
+        sim = build_care_sim()
+        ledger = sim.nodes["hospital"].ledger
+        before = query_audit(ledger, subject="p001")
+        sim.tick(1500)
+        submit_request(
+            sim,
+            PrincipalId(Kind.PRACTITIONER, "nurse1"),
+            PrincipalId(Kind.ORGANIZATION, "homecare"),
+            PrincipalId(Kind.ORGANIZATION, "hospital"),
+            PrincipalId(Kind.PATIENT, "p001"),
+            Category.VITALS,
+        )
+        after = query_audit(ledger, subject="p001")
+        assert after[: len(before)] == before
+        assert [e.action for e in after[len(before):]] == ["DataRequestRecorded", "AccessCompleted"]
+
+    def test_second_query_reads_only_the_subjects_transactions(self, monkeypatch, tmp_path):
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        write_ledger(ledger, str(path))
+        calls = _count_audit_subject(monkeypatch)
+        loaded = read_ledger(str(path))
+        assert calls == []  # reading and appending do no index work
+        first = query_audit(loaded, subject="p001")
+        calls.clear()
+        assert query_audit(loaded, subject="p001") == first
+        assert calls == [loaded.find_tx(e.tx_id).payload for e in first]
+        assert len(first) < len(loaded.height_index)
 
 
 class TestPersistence:

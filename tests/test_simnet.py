@@ -15,6 +15,7 @@ from careledger.ledger import (
     Transaction,
     build_block,
     endorse_block,
+    query_audit,
     quorum,
     sign_tx,
     validate_chain,
@@ -414,6 +415,7 @@ class TestRegistrationFold:
 class TestFork:
     def test_fork_is_independent(self):
         sim = build_care_sim()
+        unrelated = query_audit(sim.nodes["hospital"].ledger, subject="")  # the index exists before the fork
         fork = sim.fork()
         fork.register_person(Kind.PATIENT, "p777")
         fork.settle()
@@ -425,6 +427,11 @@ class TestFork:
         clinic = P(Kind.ORGANIZATION, "clinic")
         assert fork.nodes["hospital"].policy.principals.members[-1] is clinic
         assert [m.id for m in sim.nodes["hospital"].policy.principals.members] == ["hospital", "homecare"]
+        fork_ledger, ledger = fork.nodes["hospital"].ledger, sim.nodes["hospital"].ledger
+        assert [e.action for e in query_audit(fork_ledger, subject="p777")] == ["RegisterPrincipal"]
+        assert query_audit(fork_ledger, subject="")[-1].detail["id"] == "clinic"
+        assert query_audit(ledger, subject="p777") == []
+        assert query_audit(ledger, subject="") == unrelated
 
     def test_fork_replays_identically(self):
         sim = build_care_sim()
