@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from operator import attrgetter
@@ -74,13 +75,14 @@ class PrincipalId:
 
     Interned: `PrincipalId(kind, id)` returns the one instance for that pair,
     as does the decoder, so equality and hashing are object identity, and a
-    copy, deep copy or unpickled principal is that same instance. The kind
-    (a `Kind` or its value) and the id are checked only when the instance is
-    first built; an invalid pair is never stored, so it raises every time.
-    Principals sort by (kind value, id).
+    copy, deep copy or unpickled principal is that same instance. The table
+    holds instances weakly: one nothing refers to, such as an id a damaged
+    file invented, leaves it. The kind (a `Kind` or its value) and the id are
+    checked only when the instance is first built; an invalid pair is never
+    stored, so it raises every time. Principals sort by (kind value, id).
     """
 
-    __slots__ = ("kind", "id", "_key")
+    __slots__ = ("kind", "id", "_key", "__weakref__")
     kind: Kind
     id: str
 
@@ -123,7 +125,7 @@ class PrincipalId:
         return f"{self.kind.value}:{self.id}"
 
 
-_PRINCIPALS: dict[tuple[Kind, str], PrincipalId] = {}
+_PRINCIPALS: weakref.WeakValueDictionary[tuple[Kind, str], PrincipalId] = weakref.WeakValueDictionary()
 
 
 class _Principal(Codec):
@@ -841,10 +843,25 @@ def write_ledger(ledger: LedgerState, path: str) -> None:
             fh.write(len(body).to_bytes(8, "big") + body)
 
 
+# Record bytes -> block, for every record of the last successful read.
+_LAST_READ: dict[bytes, Block] = {}
+
+
 def read_ledger(path: str) -> LedgerState:
+    """Read a ledger file written by `write_ledger`.
+
+    Between calls it keeps the blocks of its last successful read, keyed by
+    each record's exact bytes, and takes an equal record's block from there
+    instead of decoding it again: re-reading a file with one byte changed, or
+    one that has only grown, decodes only the records that differ. That is
+    sound because decoding is strict and deterministic and blocks,
+    transactions, payloads and principals are immutable: equal bytes decode
+    to an equal value, and the cached `hash` and `tx_id` come from those same
+    bytes. A read that raises leaves what was kept as it was."""
+    global _LAST_READ
     with open(path, "rb") as fh:
         data = fh.read()
-    ledger = LedgerState()
+    ledger, kept = LedgerState(), {}
     pos = 0
     while pos < len(data):
         height = len(ledger.blocks)
@@ -853,14 +870,19 @@ def read_ledger(path: str) -> LedgerState:
         end = pos + 8 + int.from_bytes(data[pos : pos + 8], "big")
         if end > len(data):
             raise ChainError("truncated block record")
-        try:
-            block = _RECORD.decode(data, pos + 8, end)
-        except EncodingError as exc:
-            raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
+        record = data[pos + 8 : end]
+        block = _LAST_READ.get(record)
+        if block is None:
+            try:
+                block = _RECORD.decode(data, pos + 8, end)
+            except EncodingError as exc:
+                raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
         if block.height != height:
             raise ChainError(f"record {height} carries height {block.height}")
         ledger.append(block)
+        kept[record] = block
         pos = end
     if not ledger.blocks:
         raise ChainError("ledger file holds no blocks")
+    _LAST_READ = kept
     return ledger

@@ -1,11 +1,13 @@
 """Hashing, signing, block construction, chain validation, audit, persistence."""
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
 import random
 import struct
+import weakref
 
 import pytest
 
@@ -596,6 +598,36 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(tx)).author is tx.author
         assert copy.deepcopy(tx).payload.patient is tx.payload.patient
 
+    def test_a_principal_nothing_refers_to_leaves_the_table(self):
+        p = PrincipalId(Kind.PATIENT, "p-unreferenced")
+        assert PrincipalId(Kind.PATIENT, "p-unreferenced") is p
+        assert copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+        del p
+        gc.collect()
+        assert (Kind.PATIENT, "p-unreferenced") not in ledger_mod._PRINCIPALS
+
+    def test_tampered_reads_leave_no_invented_principals(self, tmp_path):
+        _, ledger = _two_org_chain()
+        source, target = tmp_path / "chain.ledger", tmp_path / "mutated.ledger"
+        write_ledger(ledger, str(source))
+        data = source.read_bytes()
+        read_ledger(str(source))
+        gc.collect()
+        live = len(ledger_mod._PRINCIPALS)
+        rng = random.Random("intern-bound")
+        for _ in range(300):
+            mutated = bytearray(data)
+            mutated[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+            target.write_bytes(mutated)
+            try:
+                read_ledger(str(target))
+            except ChainError:
+                pass
+        gc.collect()
+        # The last read is kept, so it may hold one principal its damage invented.
+        assert len(ledger_mod._PRINCIPALS) <= live + 1
+
     def test_a_fork_keeps_identity_and_its_lookups(self):
         sim = build_care_sim()
         fork = sim.fork()
@@ -735,6 +767,58 @@ class TestTamperOutcomes:
             outcomes.append((cut, 0, _tamper_outcome(target, data[:cut])))
         assert not [o for o in outcomes if o[2] == "undetected"]
         assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == TAMPER_OUTCOMES
+
+
+class TestReadReuse:
+    """`read_ledger` hands back the blocks its last successful read decoded
+    for records with the same bytes, instead of decoding them again."""
+
+    @staticmethod
+    def _read(path):
+        try:
+            return read_ledger(str(path))
+        except ChainError as exc:
+            return f"ChainError: {exc}"
+
+    def test_reuse_cannot_be_seen_in_results(self, tmp_path, monkeypatch):
+        _, ledger = _two_org_chain()
+        source, target = tmp_path / "chain.ledger", tmp_path / "mutated.ledger"
+        write_ledger(ledger, str(source))
+        data = source.read_bytes()
+        rng = random.Random("read-reuse")
+        reads = 0
+        for i in range(200):
+            clean = read_ledger(str(source))
+            records = {data[a + 8 : b]: block for (a, b), block in zip(_record_spans(data), clean.blocks)}
+            if i % 10:
+                pos = rng.randrange(len(data))
+                mutated = data[:pos] + bytes([data[pos] ^ rng.randrange(1, 256)]) + data[pos + 1 :]
+            else:
+                mutated = data[: rng.randrange(len(data))]
+            target.write_bytes(mutated)
+            kept = ledger_mod._LAST_READ
+            reused = self._read(target)
+            if isinstance(reused, str):
+                assert ledger_mod._LAST_READ is kept
+            else:  # every record but the damaged one comes from the clean read
+                same = [block is records.get(mutated[a + 8 : b]) for (a, b), block in
+                        zip(_record_spans(mutated), reused.blocks)]
+                assert same.count(False) <= 1
+                reads += 1
+            monkeypatch.setattr(ledger_mod, "_LAST_READ", {})
+            assert self._read(target) == reused
+        assert reads > 50
+
+    def test_the_table_holds_only_the_last_ledger_read(self, tmp_path):
+        first, second = tmp_path / "first.ledger", tmp_path / "second.ledger"
+        write_ledger(_two_org_chain(seed=42)[1], str(first))
+        write_ledger(_two_org_chain(seed=43)[1], str(second))
+        tip = weakref.ref(read_ledger(str(first)).blocks[-1])
+        gc.collect()
+        assert tip() is not None
+        read_ledger(str(second))
+        gc.collect()
+        assert tip() is None
 
 
 def _record_spans(data: bytes) -> list[tuple[int, int]]:
