@@ -3,12 +3,15 @@
 Subcommands: run, verify, audit, timeline, dashboard, shred-check.
 Exit codes: 0 success, 1 domain finding (chain violation, expired session,
 re-derivable commitment), 2 usage or parse error. Output goes to stdout,
-diagnostics to stderr. CARELEDGER_SEED is the fallback for --seed.
+diagnostics to stderr. A subcommand that fails raises `_Exit` with its code
+and message, and `main` alone turns that into stderr and the exit status.
+CARELEDGER_SEED is the fallback for --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,6 +25,7 @@ from .exchange import RecordEntry, Session, build_timeline, timeline_rows
 from .ledger import (
     Category,
     Kind,
+    LedgerState,
     PrincipalId,
     RegisterPrincipal,
     query_audit,
@@ -37,6 +41,38 @@ TRACE_FILE = "trace.tsv"
 OUTPUT_FILE = "outputs.txt"
 
 
+class _Exit(Exception):
+    """Ends a subcommand: `main` prints the message to stderr and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path: str | Path) -> LedgerState:
+    try:
+        return read_ledger(str(path))
+    except (ChainError, OSError) as exc:
+        raise _Exit(2, f"unreadable ledger: {exc}") from exc
+
+
+def _valid(ledger: LedgerState) -> LedgerState:
+    report = validate_chain(ledger)
+    if not report.ok:
+        raise _Exit(1, str(report.violation))
+    return ledger
+
+
+def _load_state(out_dir: str) -> dict:
+    path = Path(out_dir) / STATE_FILE
+    if not path.exists():
+        raise _Exit(2, f"no {STATE_FILE} under {out_dir}; run a scenario first")
+    try:
+        return json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _Exit(2, str(exc)) from exc
+
+
 def _state_dict(sim: Simulation) -> dict:
     sessions = []
     for node in sim.nodes.values():
@@ -50,18 +86,7 @@ def _state_dict(sim: Simulation) -> dict:
                     "opened_at": session.opened_at,
                     "ttl": session.ttl,
                     "expired": False,
-                    "records": [
-                        {
-                            "record_id": r.record_id,
-                            "patient": r.patient,
-                            "category": r.category.value,
-                            "source_org": r.source_org,
-                            "measured_at": r.measured_at,
-                            "value": r.value,
-                            "author": r.author,
-                        }
-                        for r in session.records
-                    ],
+                    "records": [dataclasses.asdict(r) for r in session.records],
                 }
             )
     live_ids = {s["session_id"] for s in sessions}
@@ -108,8 +133,7 @@ def _state_dict(sim: Simulation) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     script_path = Path(args.script)
     if not script_path.exists():
-        print(f"script not found: {script_path}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"script not found: {script_path}")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CARELEDGER_SEED", "0"))
@@ -122,7 +146,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     sim, outputs = run_scenario(script_path.read_text(), config, base_dir=script_path.parent)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Exit(2, f"cannot create output directory: {exc}") from exc
     (out_dir / TRACE_FILE).write_text("".join(line + "\n" for line in sim.trace_lines()))
     (out_dir / OUTPUT_FILE).write_text("".join(line + "\n" for line in outputs))
     with open(out_dir / STATE_FILE, "w") as fh:
@@ -136,11 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        ledger = read_ledger(args.ledger)
-    except (ChainError, OSError) as exc:
-        print(f"unreadable ledger: {exc}", file=sys.stderr)
-        return 2
+    ledger = _read(args.ledger)
     report = validate_chain(ledger)
     if report.ok:
         print(f"ok: {len(ledger.blocks)} blocks, {len(ledger.height_index)} transactions")
@@ -150,15 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        ledger = read_ledger(args.ledger)
-    except (ChainError, OSError) as exc:
-        print(f"unreadable ledger: {exc}", file=sys.stderr)
-        return 2
-    report = validate_chain(ledger)
-    if not report.ok:
-        print(str(report.violation), file=sys.stderr)
-        return 1
+    ledger = _valid(_read(args.ledger))
     try:
         entries = query_audit(
             ledger,
@@ -169,26 +184,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
             time_to=args.to,
         )
     except ValueError as exc:
-        print(f"bad filter: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"bad filter: {exc}") from exc
     for entry in entries:
         print(entry.to_json())
     return 0
 
 
-def _load_state(out_dir: str) -> dict:
-    path = Path(out_dir) / STATE_FILE
-    if not path.exists():
-        raise FileNotFoundError(f"no {STATE_FILE} under {out_dir}; run a scenario first")
-    return json.loads(path.read_text())
-
-
 def cmd_timeline(args: argparse.Namespace) -> int:
-    try:
-        state = _load_state(args.out)
-    except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    state = _load_state(args.out)
     live, expired = [], []
     for row in state["sessions"]:
         if row["requester"] != args.practitioner:
@@ -197,16 +200,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             expired.append(row["session_id"])
             continue
         records = [
-            RecordEntry(
-                record_id=r["record_id"],
-                patient=r["patient"],
-                category=Category(r["category"]),
-                source_org=r["source_org"],
-                measured_at=r["measured_at"],
-                value=r["value"],
-                author=r["author"],
-            )
-            for r in row["records"]
+            RecordEntry(**{**r, "category": Category(r["category"])}) for r in row["records"]
         ]
         live.append(
             Session(
@@ -219,92 +213,55 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             )
         )
     if not live and expired:
-        print(
-            f"sessions {', '.join(expired)} for {args.practitioner} have expired",
-            file=sys.stderr,
-        )
-        return 1
+        raise _Exit(1, f"sessions {', '.join(expired)} for {args.practitioner} have expired")
     window = None
     if getattr(args, "from") is not None or args.to is not None:
         if getattr(args, "from") is None or args.to is None:
-            print("--from and --to must be given together", file=sys.stderr)
-            return 2
+            raise _Exit(2, "--from and --to must be given together")
         window = (getattr(args, "from"), args.to)
     try:
         entries = build_timeline(live, window)
     except CareLedgerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _Exit(2, str(exc)) from exc
     for line in timeline_rows(entries):
         print(line)
     return 0
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    try:
-        state = _load_state(args.out)
-    except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    state = _load_state(args.out)
     ledgers = sorted(Path(args.out).glob("*.ledger"))
     if not ledgers:
-        print(f"no ledger under {args.out}; run a scenario first", file=sys.stderr)
-        return 2
-    try:
-        ledger = max((read_ledger(str(path)) for path in ledgers), key=lambda led: len(led.blocks))
-    except (ChainError, OSError) as exc:
-        print(f"unreadable ledger: {exc}", file=sys.stderr)
-        return 2
-    report = validate_chain(ledger)
-    if not report.ok:
-        print(str(report.violation), file=sys.stderr)
-        return 1
+        raise _Exit(2, f"no ledger under {args.out}; run a scenario first")
+    ledger = _valid(max((_read(path) for path in ledgers), key=lambda led: len(led.blocks)))
     consent = ConsentState()
     for height, pos, tx in ledger.transactions():
         consent.apply(tx, height, pos)
     struggles = state["struggles"].get(args.study, {})
-    try:
-        rows = consent_mod.consent_status(
-            consent, PrincipalId(Kind.RESEARCHER, args.researcher), args.study, struggles
-        )
-    except CareLedgerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    rows = consent_mod.consent_status(
+        consent, PrincipalId(Kind.RESEARCHER, args.researcher), args.study, struggles
+    )
     for line in consent_mod.dashboard_rows(rows):
         print(line)
     return 0
 
 
 def cmd_shred_check(args: argparse.Namespace) -> int:
-    try:
-        state = _load_state(args.out)
-    except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    state = _load_state(args.out)
     vault = state["vaults"].get(args.org)
     if vault is None:
-        print(f"unknown organization {args.org}", file=sys.stderr)
-        return 2
-    ledger_path = Path(args.out) / f"{args.org}.ledger"
-    try:
-        ledger = read_ledger(str(ledger_path))
-    except (ChainError, OSError) as exc:
-        print(f"unreadable ledger: {exc}", file=sys.stderr)
-        return 2
-    report = validate_chain(ledger)
-    if not report.ok:
-        print(str(report.violation), file=sys.stderr)
-        return 1
+        raise _Exit(2, f"unknown organization {args.org}")
+    ledger = _valid(_read(Path(args.out) / f"{args.org}.ledger"))
     commitments = set()
     for _, _, tx in ledger.transactions():
         if isinstance(tx.payload, RegisterPrincipal) and tx.payload.identity_commitment:
             commitments.add(tx.payload.identity_commitment)
     if args.identifiers:
-        identifiers = [
-            line.strip()
-            for line in Path(args.identifiers).read_text().splitlines()
-            if line.strip()
-        ]
+        try:
+            text = Path(args.identifiers).read_text()
+        except OSError as exc:
+            raise _Exit(2, f"unreadable identifiers file: {exc}") from exc
+        identifiers = [line.strip() for line in text.splitlines() if line.strip()]
     else:
         identifiers = list(SYNTHETIC_NAMES)
     rows = vault.items()
@@ -387,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _Exit as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
     except ScriptError as exc:
         print(f"script error: {exc}", file=sys.stderr)
         return 2

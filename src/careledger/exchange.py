@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ExchangeError
-from .ledger import Category, PrincipalId, parse_category
+from .ledger import Category, PrincipalId
 from .policy import Decision
 
 
@@ -86,27 +86,6 @@ class OffChainStore:
         del self.vault[pseudonym]
         for key in [k for k in self.records if k[0] == pseudonym]:
             del self.records[key]
-
-    def load_tsv(self, lines: Iterable[str]) -> int:
-        """Seed from fixture lines: org, pseudonym, category, measured_at, value, author."""
-        count = 0
-        for raw in lines:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ExchangeError(f"record line needs 6 tab-separated fields: {line!r}")
-            org, patient, category, measured_at, value, author = parts
-            if org != self.org:
-                continue
-            try:
-                at = int(measured_at)
-            except ValueError:
-                raise ExchangeError(f"bad measured_at {measured_at!r} in: {line!r}") from None
-            self.add_record(patient, parse_category(category), at, value, author)
-            count += 1
-        return count
 
 
 def build_timeline(

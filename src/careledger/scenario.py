@@ -44,7 +44,7 @@ from typing import Optional
 from .consent import parse_quiz
 from .errors import CareLedgerError, ScriptError
 from .exchange import timeline_rows
-from .ledger import Category, Kind, PrincipalId, parse_category
+from .ledger import Kind, PrincipalId, parse_category
 from .simnet import SimConfig, Simulation, spawn_network
 
 # Used when a script opens without `org add` lines (fixture default network).
@@ -88,13 +88,6 @@ def _parse_int(cmd: Command, token: str, label: str) -> int:
         raise ScriptError(cmd.line_no, f"{label} must be an integer, got {token!r}") from None
 
 
-def _parse_cats(cmd: Command, token: str) -> frozenset[Category]:
-    try:
-        return frozenset(parse_category(t) for t in token.split(","))
-    except CareLedgerError as exc:
-        raise ScriptError(cmd.line_no, str(exc)) from exc
-
-
 def _parse_bool(cmd: Command, token: str) -> bool:
     if token.lower() in ("true", "yes", "1"):
         return True
@@ -135,7 +128,6 @@ class ScenarioRunner:
         if draft is None:
             return
         self._draft = None
-        self.sim.settle()
         try:
             self.sim.create_plan(
                 draft.plan_id, draft.patient, draft.member_orgs, draft.practitioners
@@ -188,7 +180,7 @@ class ScenarioRunner:
                 words[1],
                 words[2],
                 words[3],
-                _parse_cats(cmd, words[4]),
+                frozenset(map(parse_category, words[4].split(","))),
                 _parse_int(cmd, words[5], "from"),
                 _parse_int(cmd, words[6], "until"),
             )
@@ -210,10 +202,7 @@ class ScenarioRunner:
                 if words[5] != "emergency":
                     raise ScriptError(cmd.line_no, f"unexpected trailing word {words[5]!r}")
                 emergency = True
-            try:
-                category = parse_category(words[4])
-            except CareLedgerError as exc:
-                raise ScriptError(cmd.line_no, str(exc)) from exc
+            category = parse_category(words[4])
             self.sim.start_request(
                 PrincipalId(Kind.PRACTITIONER, prac),
                 PrincipalId(Kind.ORGANIZATION, org),
@@ -224,10 +213,7 @@ class ScenarioRunner:
             )
         elif head == "record" and len(words) >= 2 and words[1] == "add":
             self._need(cmd, 8, "record add <org> <patient> <cat> <t> <value> <author>")
-            try:
-                category = parse_category(words[4])
-            except CareLedgerError as exc:
-                raise ScriptError(cmd.line_no, str(exc)) from exc
+            category = parse_category(words[4])
             self.sim.add_record(
                 words[2], words[3], category, _parse_int(cmd, words[5], "t"), words[6], words[7]
             )
@@ -240,7 +226,6 @@ class ScenarioRunner:
                     _parse_int(cmd, words[2], "from"),
                     _parse_int(cmd, words[3], "to"),
                 )
-            self.sim.settle()
             entries = self.sim.timeline_for(words[1], window)
             self.outputs.extend(timeline_rows(entries))
         elif head == "study" and len(words) >= 2 and words[1] == "register":

@@ -222,7 +222,6 @@ class Simulation:
         # A finished match keeps only its sorted result.
         self.matches: dict[int, MatchState | tuple[str, ...]] = {}
         self.round: Optional[RoundState] = None
-        self.last_committed: Optional[Block] = None
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._eseq = 0
         self._seq = 0
@@ -464,7 +463,7 @@ class Simulation:
         if state is None or len(state.endorsements) < state.needed:
             return
         self.round = None
-        final = self.last_committed = _sealed(state.block, state.endorsements)
+        final = _sealed(state.block, state.endorsements)
         proposer = self.nodes[state.proposer]
         members = [m.id for m in proposer.policy.principals.members]
         self._commit(proposer, final)

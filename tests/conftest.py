@@ -10,7 +10,6 @@ from careledger.ledger import (
     Block,
     Category,
     Kind,
-    PrincipalId,
     Transaction,
     compute_tx_root,
     endorse_block,
@@ -75,7 +74,3 @@ def propose(sim, proposer: str, to: str, txs, height=None) -> list:
 @pytest.fixture
 def care_sim():
     return build_care_sim()
-
-
-def principals(kind_and_ids):
-    return [PrincipalId(k, i) for k, i in kind_and_ids]

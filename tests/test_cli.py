@@ -1,7 +1,11 @@
 """CLI surface: subcommands, exit codes, byte-stable outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +14,7 @@ from careledger.ledger import Kind, PrincipalId, RegisterPrincipal, read_ledger,
 
 from conftest import FIXTURES
 
-
-def run_cli(*argv, capsys=None):
-    code = main(list(argv))
-    return code
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -245,15 +246,18 @@ class TestShredCheck:
 
 
 class TestExitCodeTable:
-    def test_twelve_canned_invocations(self, case1_out, case2_out, tmp_path):
+    def test_canned_invocations(self, case1_out, case2_out, tmp_path):
         empty = tmp_path / "empty.ledger"
         empty.write_bytes(b"")
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file, not a directory\n")
         bad_script = tmp_path / "bad.scn"
         bad_script.write_text("nonsense\n")
         table = [
             (["run", str(FIXTURES / "case1.scn"), "--seed", "1", "--out", str(tmp_path / "r1")], 0),
             (["run", str(tmp_path / "missing.scn"), "--out", str(tmp_path / "r2")], 2),
             (["run", str(bad_script), "--out", str(tmp_path / "r3")], 2),
+            (["run", str(FIXTURES / "case1.scn"), "--seed", "1", "--out", str(taken)], 2),
             (["verify", str(case1_out / "hospital.ledger")], 0),
             (["verify", str(empty)], 2),
             (["audit", str(case1_out / "hospital.ledger")], 0),
@@ -263,6 +267,18 @@ class TestExitCodeTable:
             (["dashboard", str(case2_out), "drx", "sleepstudy"], 0),
             (["dashboard", str(case2_out), "stranger", "sleepstudy"], 1),
             (["shred-check", str(case2_out), "uni"], 1),  # vault intact: linkable
+            (["shred-check", str(case2_out), "uni", "--identifiers", str(tmp_path / "no.txt")], 2),
         ]
         for argv, expected in table:
             assert main(argv) == expected, argv
+
+    def test_usage_error_exits_2_without_traceback(self, case2_out, tmp_path):
+        argv = ["shred-check", str(case2_out), "uni", "--identifiers", str(tmp_path / "no.txt")]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "careledger.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr

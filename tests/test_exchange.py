@@ -57,25 +57,6 @@ class TestStore:
         with pytest.raises(ExchangeError):
             store.fetch("p001", "bloodwork")
 
-    def test_tsv_loader(self, fixtures_dir):
-        store = OffChainStore("hospital")
-        lines = (fixtures_dir / "records_hospital.tsv").read_text().splitlines()
-        count = store.load_tsv(lines)
-        assert count == 5
-        vitals = store.fetch("p001", Category.VITALS)
-        assert [r.measured_at for r in vitals] == [10, 30, 45]
-        assert vitals[0].value == "BP 132/85"
-
-    def test_tsv_loader_rejects_short_rows(self):
-        store = OffChainStore("hospital")
-        with pytest.raises(ExchangeError):
-            store.load_tsv(["hospital\tp001\tvitals\t10"])
-
-    def test_tsv_loader_rejects_bad_timestamp(self):
-        store = OffChainStore("hospital")
-        with pytest.raises(ExchangeError):
-            store.load_tsv(["hospital\tp001\tvitals\tnoon\tBP 1\tx"])
-
 
 class TestRequestProtocol:
     def test_happy_path_returns_populated_session(self):
