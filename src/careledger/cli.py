@@ -69,7 +69,7 @@ def _load_state(out_dir: str) -> dict:
         raise _Exit(2, f"no {STATE_FILE} under {out_dir}; run a scenario first")
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise _Exit(2, str(exc)) from exc
 
 
@@ -132,8 +132,8 @@ def _state_dict(sim: Simulation) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     script_path = Path(args.script)
-    if not script_path.exists():
-        raise _Exit(2, f"script not found: {script_path}")
+    if not script_path.is_file():
+        raise _Exit(2, f"no script file at {script_path}")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CARELEDGER_SEED", "0"))

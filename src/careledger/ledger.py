@@ -735,6 +735,10 @@ def check_block(prev: Optional[Block], block: Block, registry: Registry) -> Opti
     return None
 
 
+# The valid chain prefix that `validate_chain` keeps between calls: one chain.
+_VALIDATED: list[Block] = []
+
+
 def validate_chain(ledger: LedgerState) -> ValidationReport:
     """Walk the chain from genesis; stop at the first block that fails
     `check_block`.
@@ -742,16 +746,43 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
     Membership and keys are folded from the chain itself: an organization
     registered at height h counts toward the quorum denominator from height
     h+1.
+
+    Between calls it keeps the valid prefix of one chain. Each leading block
+    that is that prefix's block at the same height (the same object, or an
+    equal one) is only folded, not checked; from the first block that
+    differs on, every block runs `check_block`. Re-validating a chain with
+    one block changed, or one that has only grown, therefore checks only the
+    blocks from the change or the old tip on. That is sound because the
+    check at height h depends only on the values of the blocks up to h,
+    blocks, transactions, payloads and principals are immutable, equal
+    blocks carry equal cached `hash` and `tx_id` (decoding is strict, and
+    everything else computes them from the fields), and Ed25519 verification
+    is deterministic. The kept prefix is replaced only when a call finds
+    valid blocks past the part it shares, so a chain that fails early does
+    not discard a longer valid one.
     """
+    global _VALIDATED
+    blocks = ledger.blocks
     registry = Registry()
-    prev: Optional[Block] = None
-    for block in ledger.blocks:
+    shared = 0
+    for known, block in zip(_VALIDATED, blocks):
+        if block is not known and block != known:
+            break
+        registry.fold(block)
+        shared += 1
+    prev = blocks[shared - 1] if shared else None
+    report, valid = ValidationReport(True), len(blocks)
+    for height in range(shared, len(blocks)):
+        block = blocks[height]
         violation = check_block(prev, block, registry)
         if violation is not None:
-            return ValidationReport(False, violation)
+            report, valid = ValidationReport(False, violation), height
+            break
         registry.fold(block)
         prev = block
-    return ValidationReport(True)
+    if valid > shared:
+        _VALIDATED = blocks[:valid]
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,14 @@ class TestExitCodeTable:
         taken.write_text("a regular file, not a directory\n")
         bad_script = tmp_path / "bad.scn"
         bad_script.write_text("nonsense\n")
+        not_utf8 = tmp_path / "not-utf8"
+        not_utf8.mkdir()
+        (not_utf8 / "state.json").write_bytes(b"\xff\xfe")
         table = [
             (["run", str(FIXTURES / "case1.scn"), "--seed", "1", "--out", str(tmp_path / "r1")], 0),
             (["run", str(tmp_path / "missing.scn"), "--out", str(tmp_path / "r2")], 2),
             (["run", str(bad_script), "--out", str(tmp_path / "r3")], 2),
+            (["run", str(FIXTURES), "--out", str(tmp_path / "r4")], 2),  # a directory, not a script
             (["run", str(FIXTURES / "case1.scn"), "--seed", "1", "--out", str(taken)], 2),
             (["verify", str(case1_out / "hospital.ledger")], 0),
             (["verify", str(empty)], 2),
@@ -264,6 +268,7 @@ class TestExitCodeTable:
             (["audit", str(case1_out / "hospital.ledger"), "--from", "9", "--to", "1"], 2),
             (["timeline", str(case1_out), "nurse1"], 0),
             (["timeline", str(tmp_path / "missing-dir"), "nurse1"], 2),
+            (["timeline", str(not_utf8), "nurse1"], 2),
             (["dashboard", str(case2_out), "drx", "sleepstudy"], 0),
             (["dashboard", str(case2_out), "stranger", "sleepstudy"], 1),
             (["shred-check", str(case2_out), "uni"], 1),  # vault intact: linkable
@@ -282,3 +287,18 @@ class TestExitCodeTable:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+
+def test_run_output_is_independent_of_the_hash_seed(tmp_path):
+    """Set and dict iteration order varies with PYTHONHASHSEED; no output byte may."""
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        argv = ["run", str(FIXTURES / "case1.scn"), "--seed", "42", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "careledger.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert len(outputs[0][1]) >= 4 and outputs[0] == outputs[1]

@@ -8,6 +8,7 @@ import pickle
 import random
 import struct
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -819,6 +820,98 @@ class TestReadReuse:
         read_ledger(str(second))
         gc.collect()
         assert tip() is None
+
+
+class TestValidateReuse:
+    """`validate_chain` keeps the valid prefix of one chain and runs
+    `check_block` only from the first block that differs from it."""
+
+    @pytest.fixture
+    def chain(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger_mod, "_VALIDATED", [])
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        write_ledger(ledger, str(path))
+        return ledger, path
+
+    @staticmethod
+    def _checked(monkeypatch) -> list:
+        """The heights `check_block` runs on from here on."""
+        heights, real = [], ledger_mod.check_block
+
+        def check_block(prev, block, registry):
+            heights.append(block.height)
+            return real(prev, block, registry)
+
+        monkeypatch.setattr(ledger_mod, "check_block", check_block)
+        return heights
+
+    def test_reuse_cannot_be_seen_in_reports(self, chain, tmp_path, monkeypatch):
+        _, source = chain
+        data = source.read_bytes()
+        ends = [end for _, end in _record_spans(data)]
+        target = tmp_path / "mutated.ledger"
+        rng = random.Random("validate-reuse")
+        reports = 0
+        for i in range(320):
+            if i % 10 == 0:
+                assert validate_chain(read_ledger(str(source))).ok
+            if i % 10 == 5:  # a shorter chain, cut at a record boundary or anywhere
+                mutated = data[: rng.choice(ends) if i % 20 == 5 else rng.randrange(len(data))]
+            else:
+                pos = rng.randrange(len(data))
+                mutated = data[:pos] + bytes([data[pos] ^ rng.randrange(1, 256)]) + data[pos + 1 :]
+            target.write_bytes(mutated)
+            try:
+                ledger = read_ledger(str(target))
+            except ChainError:
+                continue
+            reused = validate_chain(ledger)
+            kept = ledger_mod._VALIDATED
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", [])
+            assert validate_chain(ledger) == reused
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", kept)
+            reports += 1
+        assert reports >= 200
+
+    def test_a_re_read_chain_is_not_checked_again(self, chain, monkeypatch):
+        _, path = chain
+        first = read_ledger(str(path))
+        assert validate_chain(first).ok
+        monkeypatch.setattr(ledger_mod, "_LAST_READ", {})
+        again = read_ledger(str(path))
+        assert not any(a is b for a, b in zip(first.blocks, again.blocks))
+        checked = self._checked(monkeypatch)
+        assert validate_chain(again).ok
+        assert checked == []
+
+    def test_a_grown_chain_checks_only_the_new_blocks(self, chain, monkeypatch):
+        ledger, _ = chain
+        n, k = len(ledger.blocks), 3
+        short = LedgerState()
+        for block in ledger.blocks[: n - k]:
+            short.append(block)
+        assert validate_chain(short).ok
+        checked = self._checked(monkeypatch)
+        assert validate_chain(ledger).ok
+        assert checked == list(range(n - k, n))
+
+    def test_a_changed_chain_checks_nothing_below_the_change(self, chain, monkeypatch):
+        ledger, _ = chain
+        assert validate_chain(ledger).ok
+        j = len(ledger.blocks) // 2
+        thin = replace(ledger.blocks[j], endorsements=ledger.blocks[j].endorsements[:1])
+        changed = LedgerState()
+        for block in ledger.blocks:
+            changed.append(thin if block.height == j else block)
+        checked = self._checked(monkeypatch)
+        report = validate_chain(changed)
+        assert (report.violation.height, report.violation.rule) == (j, "quorum")
+        assert checked == [j]
+        # The failed chain found nothing valid past the shared prefix, so the
+        # longer valid prefix stays.
+        assert validate_chain(ledger).ok
+        assert checked == [j]
 
 
 def _record_spans(data: bytes) -> list[tuple[int, int]]:
