@@ -166,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ledger = _read(args.ledger)
     report = validate_chain(ledger)
     if report.ok:
-        print(f"ok: {len(ledger.blocks)} blocks, {len(ledger.height_index)} transactions")
+        print(f"ok: {len(ledger.blocks)} blocks, {sum(len(b.transactions) for b in ledger.blocks)} transactions")
         return 0
     print(str(report.violation))
     return 1

@@ -20,7 +20,8 @@ import json
 import weakref
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, is_
 from typing import ClassVar, Iterable, Iterator, Optional
 
 from . import crypto
@@ -568,11 +569,17 @@ def quorum(org_count: int) -> int:
 
 @dataclass
 class LedgerState:
-    """A chain and its lookups. The state grows only through `append`:
-    `height_index` and the audit-subject index both rely on that."""
+    """A chain and its lookups. The state is built from a list of blocks and
+    grows only through `append`. Both lookups are lazy and rely on that: the
+    transaction index and the audit-subject index each catch up over the
+    blocks appended since their last use, so building or growing a state
+    does no per-transaction work."""
 
     blocks: list[Block] = field(default_factory=list)
-    height_index: dict[bytes, tuple[int, int]] = field(default_factory=dict)
+    # Transaction id -> (height, position) over blocks[:_tx_indexed]; the
+    # last occurrence of an id wins.
+    _by_tx: dict[bytes, tuple[int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tx_indexed: int = field(default=0, init=False, repr=False, compare=False)
     # Audit subject -> (height, position) rows in chain order over
     # blocks[:_indexed]; caught up by the first subject query after appends.
     _by_subject: dict[str, list[tuple[int, int]]] = field(
@@ -586,8 +593,15 @@ class LedgerState:
                 f"append out of order: block height {block.height}, chain tip {len(self.blocks) - 1}"
             )
         self.blocks.append(block)
-        for pos, tx in enumerate(block.transactions):
-            self.height_index[tx.tx_id] = (block.height, pos)
+
+    @property
+    def height_index(self) -> dict[bytes, tuple[int, int]]:
+        """Transaction id -> (height, position), caught up to the tip."""
+        for block in self.blocks[self._tx_indexed:]:
+            for pos, tx in enumerate(block.transactions):
+                self._by_tx[tx.tx_id] = (block.height, pos)
+        self._tx_indexed = len(self.blocks)
+        return self._by_tx
 
     @property
     def height(self) -> int:
@@ -735,8 +749,10 @@ def check_block(prev: Optional[Block], block: Block, registry: Registry) -> Opti
     return None
 
 
-# The valid chain prefix that `validate_chain` keeps between calls: one chain.
-_VALIDATED: list[Block] = []
+# The valid chain prefix that `validate_chain` keeps between calls, for one
+# chain: its blocks, the Registry folded from them, and, after each block,
+# that registry's key count and member count.
+_VALIDATED: tuple[list[Block], Registry, list[tuple[int, int]]] = ([], Registry(), [])
 
 
 def validate_chain(ledger: LedgerState) -> ValidationReport:
@@ -747,31 +763,40 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
     registered at height h counts toward the quorum denominator from height
     h+1.
 
-    Between calls it keeps the valid prefix of one chain. Each leading block
-    that is that prefix's block at the same height (the same object, or an
-    equal one) is only folded, not checked; from the first block that
-    differs on, every block runs `check_block`. Re-validating a chain with
-    one block changed, or one that has only grown, therefore checks only the
-    blocks from the change or the old tip on. That is sound because the
-    check at height h depends only on the values of the blocks up to h,
-    blocks, transactions, payloads and principals are immutable, equal
-    blocks carry equal cached `hash` and `tx_id` (decoding is strict, and
-    everything else computes them from the fields), and Ed25519 verification
-    is deterministic. The kept prefix is replaced only when a call finds
-    valid blocks past the part it shares, so a chain that fails early does
-    not discard a longer valid one.
+    Between calls it keeps the valid prefix of one chain, with the registry
+    folded from it and that registry's key and member counts after each
+    block. Leading blocks that are that prefix's blocks at the same heights
+    (the same objects, or equal ones) are neither checked nor folded: the
+    registry before the first block that differs is the kept registry's
+    first keys and members at the counts kept for the block before it. From
+    that block on, every block runs `check_block`. Re-validating a chain
+    with one block changed, or one that has only grown, therefore checks and
+    folds only the blocks from the change or the old tip on. That is sound
+    because the check at height h depends only on the values of the blocks
+    up to h; blocks, transactions, payloads and principals are immutable;
+    equal blocks carry equal cached `hash` and `tx_id` (decoding is strict,
+    and everything else computes them from the fields); Ed25519
+    verification is deterministic; and a `Registry` only ever adds keys and
+    members, in fold order, which a dict and a list keep. The kept prefix is
+    replaced only when a call finds valid blocks past the part it shares, so
+    a chain that fails early does not discard a longer valid one.
     """
     global _VALIDATED
     blocks = ledger.blocks
+    kept, folded, counts = _VALIDATED
+    # Leading blocks that are the kept ones: find the non-identical ones in C
+    # and compare only those by value; the sentinel marks the shorter end.
+    same = [*map(is_, kept, blocks), False]
+    shared = same.index(False)
+    while shared < len(same) - 1 and blocks[shared] == kept[shared]:
+        shared = same.index(False, shared + 1)
     registry = Registry()
-    shared = 0
-    for known, block in zip(_VALIDATED, blocks):
-        if block is not known and block != known:
-            break
-        registry.fold(block)
-        shared += 1
+    if shared:
+        keys, members = counts[shared - 1]
+        registry.update(islice(folded.items(), keys))
+        registry.members = folded.members[:members]
     prev = blocks[shared - 1] if shared else None
-    report, valid = ValidationReport(True), len(blocks)
+    report, valid, grown = ValidationReport(True), len(blocks), []
     for height in range(shared, len(blocks)):
         block = blocks[height]
         violation = check_block(prev, block, registry)
@@ -779,9 +804,12 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
             report, valid = ValidationReport(False, violation), height
             break
         registry.fold(block)
+        grown.append((len(registry), len(registry.members)))
         prev = block
     if valid > shared:
-        _VALIDATED = blocks[:valid]
+        _VALIDATED = (blocks[:valid], registry, counts[:shared] + grown)
+    else:  # the same prefix as this chain's objects, so the next call matches it by identity
+        _VALIDATED = (blocks[:shared] + kept[shared:], folded, counts)
     return report
 
 
@@ -874,46 +902,77 @@ def write_ledger(ledger: LedgerState, path: str) -> None:
             fh.write(len(body).to_bytes(8, "big") + body)
 
 
-# Record bytes -> block, for every record of the last successful read.
-_LAST_READ: dict[bytes, Block] = {}
+# The last successful read, of one file: its bytes, each record's end
+# offset, and each record's block.
+_LAST_READ: tuple[bytes, list[int], list[Block]] = (b"", [], [])
+
+
+def _unchanged_run(data: bytes, last: memoryview, ends: list[int], first: int) -> int:
+    """The j such that the last read's records first to j - 1 sit unchanged,
+    byte for byte at the same offsets, in `data`, and its record j (if it
+    has one) does not. An exponential search over record ranges: each probe
+    compares only the range past the records already found unchanged, with
+    one `memcmp`."""
+    lo, hi, step = first, len(ends), 1
+    while lo < hi:
+        mid = min(lo + step, hi)
+        start = ends[lo - 1] if lo else 0
+        if data.startswith(last[start : ends[mid - 1]], start):
+            lo, step = mid, step * 2
+        else:
+            hi, step = mid - 1, max(step // 2, 1)
+    return lo
 
 
 def read_ledger(path: str) -> LedgerState:
     """Read a ledger file written by `write_ledger`.
 
-    Between calls it keeps the blocks of its last successful read, keyed by
-    each record's exact bytes, and takes an equal record's block from there
-    instead of decoding it again: re-reading a file with one byte changed, or
-    one that has only grown, decodes only the records that differ. That is
-    sound because decoding is strict and deterministic and blocks,
-    transactions, payloads and principals are immutable: equal bytes decode
-    to an equal value, and the cached `hash` and `tx_id` come from those same
-    bytes. A read that raises leaves what was kept as it was."""
+    Between calls it keeps its last successful read, of one file: the bytes,
+    each record's end offset and each record's block. Whenever the parse
+    reaches a record of that read at the record's old offset and height, it
+    finds the run of records from there whose bytes are unchanged at the
+    same offsets (byte comparisons, no copies or hashing) and takes their
+    blocks with one list slice; it decodes only the records outside such
+    runs. Re-reading a file with one byte changed, or one that has only
+    grown, therefore decodes only the records that differ. That is sound
+    because a byte range unchanged at the same offsets holds unchanged
+    length prefixes, so its record boundaries hold; decoding is strict and
+    deterministic; and blocks, transactions, payloads and principals are
+    immutable: equal bytes decode to an equal value, and the cached `hash`
+    and `tx_id` come from those same bytes. A read that raises leaves what
+    was kept as it was."""
     global _LAST_READ
     with open(path, "rb") as fh:
         data = fh.read()
-    ledger, kept = LedgerState(), {}
+    last, last_ends, last_blocks = _LAST_READ
+    blocks: list[Block] = []
+    ends: list[int] = []
     pos = 0
+    view = memoryview(last)
     while pos < len(data):
-        height = len(ledger.blocks)
+        height = len(blocks)
+        if height < len(last_ends) and pos == (last_ends[height - 1] if height else 0):
+            stop = _unchanged_run(data, view, last_ends, height)
+            if stop > height:
+                blocks += last_blocks[height:stop]
+                ends += last_ends[height:stop]
+                pos = ends[-1]
+                continue
         if pos + 8 > len(data):
             raise ChainError("truncated record length")
         end = pos + 8 + int.from_bytes(data[pos : pos + 8], "big")
         if end > len(data):
             raise ChainError("truncated block record")
-        record = data[pos + 8 : end]
-        block = _LAST_READ.get(record)
-        if block is None:
-            try:
-                block = _RECORD.decode(data, pos + 8, end)
-            except EncodingError as exc:
-                raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
+        try:
+            block = _RECORD.decode(data, pos + 8, end)
+        except EncodingError as exc:
+            raise ChainError(f"unreadable block record at height {height}: {exc}") from exc
         if block.height != height:
             raise ChainError(f"record {height} carries height {block.height}")
-        ledger.append(block)
-        kept[record] = block
+        blocks.append(block)
+        ends.append(end)
         pos = end
-    if not ledger.blocks:
+    if not blocks:
         raise ChainError("ledger file holds no blocks")
-    _LAST_READ = kept
-    return ledger
+    _LAST_READ = (data, ends, blocks)
+    return LedgerState(blocks[:])  # a copy: the caller's state may grow, the kept one may not

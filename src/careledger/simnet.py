@@ -487,7 +487,7 @@ class Simulation:
 
     def _on_tx(self, node: Node, from_org: str, message: dict) -> None:
         tx: Transaction = message["tx"]
-        if tx.tx_id in node.mempool or tx.tx_id in node.ledger.height_index:
+        if tx.tx_id in node.mempool or node.ledger.find_tx(tx.tx_id) is not None:
             return
         verified = verify_tx(tx, node.policy.principals)
         dropped = getattr(_check_tx(node, tx), "rule", None) if verified else "signature"

@@ -504,6 +504,36 @@ class TestSubjectIndex:
         assert len(first) < len(loaded.height_index)
 
 
+class TestTxIndex:
+    @staticmethod
+    def _agrees_with_scan(ledger: LedgerState) -> None:
+        scan = {tx.tx_id: (height, pos) for height, pos, tx in ledger.transactions()}  # last one wins
+        for tx_id, (height, pos) in scan.items():
+            assert ledger.find_tx(tx_id) is ledger.blocks[height].transactions[pos]
+        assert ledger.find_tx(bytes(32)) is None
+        assert ledger.height_index == scan
+
+    def test_index_agrees_with_scan(self, tmp_path):
+        full = _every_payload_chain()
+        # A block that repeats an earlier block's transactions.
+        blocks = [*full.blocks, replace(full.blocks[1], height=len(full.blocks))]
+        rng = random.Random(17)
+        grown, fork = LedgerState(), None
+        for block in blocks:
+            grown.append(block)
+            if rng.random() < 0.5:
+                self._agrees_with_scan(grown)
+            if block.height == len(blocks) // 2:
+                fork = copy.deepcopy(grown)
+        self._agrees_with_scan(grown)
+        for block in blocks[len(fork.blocks) :]:
+            fork.append(block)
+            self._agrees_with_scan(fork)
+        path = tmp_path / "chain.ledger"
+        write_ledger(grown, str(path))
+        self._agrees_with_scan(read_ledger(str(path)))
+
+
 class TestPersistence:
     def test_round_trip_preserves_chain(self, tmp_path):
         _, ledger = _two_org_chain()
@@ -806,9 +836,95 @@ class TestReadReuse:
                         zip(_record_spans(mutated), reused.blocks)]
                 assert same.count(False) <= 1
                 reads += 1
-            monkeypatch.setattr(ledger_mod, "_LAST_READ", {})
+            monkeypatch.setattr(ledger_mod, "_LAST_READ", (b"", [], []))
             assert self._read(target) == reused
         assert reads > 50
+
+    @staticmethod
+    def _decodes(monkeypatch) -> list:
+        """The start offset of every record `read_ledger` decodes from here on."""
+        starts, real = [], ledger_mod._RECORD.decode
+
+        def decode(data, start, end):
+            starts.append(start)
+            return real(data, start, end)
+
+        monkeypatch.setattr(ledger_mod._RECORD, "decode", decode)
+        return starts
+
+    def test_only_changed_records_are_decoded(self, tmp_path, monkeypatch):
+        _, ledger = _two_org_chain()
+        source, target = tmp_path / "chain.ledger", tmp_path / "mutated.ledger"
+        write_ledger(ledger, str(source))
+        data = source.read_bytes()
+        spans = _record_spans(data)
+        decodes = self._decodes(monkeypatch)
+        read_ledger(str(source))
+        decodes.clear()
+        assert read_ledger(str(source)) == read_ledger(str(source))
+        assert decodes == []
+        rng = random.Random("decode-count")
+        for _ in range(60):
+            start, end = rng.choice(spans)
+            pos = rng.randrange(start + 8, end)  # inside a record, past its length
+            read_ledger(str(source))
+            target.write_bytes(data[:pos] + bytes([data[pos] ^ rng.randrange(1, 256)]) + data[pos + 1 :])
+            decodes.clear()
+            try:
+                read_ledger(str(target))
+            except ChainError:
+                pass
+            assert decodes == [start + 8]
+
+    def test_a_grown_file_decodes_only_the_new_records(self, tmp_path, monkeypatch):
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        n = len(ledger.blocks)
+        decodes = self._decodes(monkeypatch)
+        for k in (1, 3, n - 1):
+            write_ledger(LedgerState(ledger.blocks[: n - k]), str(path))
+            read_ledger(str(path))
+            write_ledger(ledger, str(path))
+            decodes.clear()
+            assert read_ledger(str(path)) == ledger
+            assert len(decodes) == k
+
+    def test_a_run_is_reused_only_at_its_old_offset(self, tmp_path):
+        _, ledger = _two_org_chain()
+        path = tmp_path / "chain.ledger"
+        write_ledger(ledger, str(path))
+        data = path.read_bytes()
+        read_ledger(str(path))
+        # A shorter genesis, zeros up to record 1's old offset, then records
+        # 1.. unchanged at their old offsets: the zeros are a record length.
+        genesis = ledger.blocks[0]
+        write_ledger(LedgerState([replace(genesis, endorsements=genesis.endorsements[:-1])]), str(path))
+        head, start = path.read_bytes(), _record_spans(data)[1][0]
+        path.write_bytes(head + bytes(start - len(head)) + data[start:])
+        with pytest.raises(ChainError, match="unreadable block record at height 1"):
+            read_ledger(str(path))
+
+    def test_alternating_chains_read_and_validate_as_cold(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "a.ledger", tmp_path / "b.ledger"]
+        chains = [_two_org_chain(seed=42)[1], _two_org_chain(seed=43)[1]]
+        assert len(chains[0].blocks) == len(chains[1].blocks)
+        for path, chain in zip(paths, chains):
+            write_ledger(chain, str(path))
+        empty = (b"", [], []), ([], ledger_mod.Registry(), [])
+        monkeypatch.setattr(ledger_mod, "_LAST_READ", empty[0])
+        monkeypatch.setattr(ledger_mod, "_VALIDATED", empty[1])
+        for i in range(6):
+            path = paths[i % 2]
+            warm = read_ledger(str(path))
+            warm_report = validate_chain(warm)
+            kept = ledger_mod._LAST_READ, ledger_mod._VALIDATED
+            monkeypatch.setattr(ledger_mod, "_LAST_READ", empty[0])
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", empty[1])
+            cold = read_ledger(str(path))
+            assert warm == cold == chains[i % 2]
+            assert warm_report == validate_chain(cold)
+            monkeypatch.setattr(ledger_mod, "_LAST_READ", kept[0])
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", kept[1])
 
     def test_the_table_holds_only_the_last_ledger_read(self, tmp_path):
         first, second = tmp_path / "first.ledger", tmp_path / "second.ledger"
@@ -828,7 +944,7 @@ class TestValidateReuse:
 
     @pytest.fixture
     def chain(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ledger_mod, "_VALIDATED", [])
+        monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], ledger_mod.Registry(), []))
         _, ledger = _two_org_chain()
         path = tmp_path / "chain.ledger"
         write_ledger(ledger, str(path))
@@ -868,7 +984,7 @@ class TestValidateReuse:
                 continue
             reused = validate_chain(ledger)
             kept = ledger_mod._VALIDATED
-            monkeypatch.setattr(ledger_mod, "_VALIDATED", [])
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], ledger_mod.Registry(), []))
             assert validate_chain(ledger) == reused
             monkeypatch.setattr(ledger_mod, "_VALIDATED", kept)
             reports += 1
@@ -878,12 +994,43 @@ class TestValidateReuse:
         _, path = chain
         first = read_ledger(str(path))
         assert validate_chain(first).ok
-        monkeypatch.setattr(ledger_mod, "_LAST_READ", {})
+        monkeypatch.setattr(ledger_mod, "_LAST_READ", (b"", [], []))
         again = read_ledger(str(path))
         assert not any(a is b for a, b in zip(first.blocks, again.blocks))
         checked = self._checked(monkeypatch)
         assert validate_chain(again).ok
         assert checked == []
+
+    def test_a_re_read_chain_is_not_folded_again(self, chain, monkeypatch):
+        _, path = chain
+        assert validate_chain(read_ledger(str(path))).ok
+        monkeypatch.setattr(ledger_mod, "_LAST_READ", (b"", [], []))
+        again = read_ledger(str(path))
+        folded, real = [], ledger_mod.Registry.fold
+        monkeypatch.setattr(ledger_mod.Registry, "fold", lambda self, block: folded.append(block) or real(self, block))
+        assert validate_chain(again).ok
+        assert folded == []
+
+    def test_registry_checkpoints_give_the_cold_report(self, monkeypatch):
+        """Damage each block of a chain that registers principals in every
+        block, an organization among them: the registry in force before the
+        damage comes from the kept checkpoints, and the report is the one a
+        walk from genesis gives."""
+        sim, _ = run_scenario((FIXTURES / "membership.scn").read_text(), SimConfig(seed=42), base_dir=FIXTURES)
+        ledger = sim.nodes["a"].ledger
+        assert all(any(isinstance(tx.payload, RegisterPrincipal) for tx in b.transactions) for b in ledger.blocks)
+        for j, block in enumerate(ledger.blocks):
+            last = block.transactions[-1]
+            for damaged in (
+                replace(block, endorsements=block.endorsements[:-1]),
+                replace(block, transactions=(*block.transactions[:-1], replace(last, signature=bytes(64)))),
+            ):
+                changed = LedgerState(ledger.blocks[:j] + [damaged] + ledger.blocks[j + 1 :])
+                assert validate_chain(ledger).ok
+                report = validate_chain(changed)
+                assert report.ok or report.violation.height == j  # genesis has a spare endorsement
+                monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], ledger_mod.Registry(), []))
+                assert validate_chain(changed) == report
 
     def test_a_grown_chain_checks_only_the_new_blocks(self, chain, monkeypatch):
         ledger, _ = chain
