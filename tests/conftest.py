@@ -6,10 +6,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from careledger import SimConfig, spawn_network
+from careledger import ledger as ledger_mod
 from careledger.ledger import (
     Block,
     Category,
     Kind,
+    Registry,
     Transaction,
     compute_tx_root,
     endorse_block,
@@ -17,6 +19,14 @@ from careledger.ledger import (
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def _empty_read_and_validate_reuse(monkeypatch):
+    """Start every test with nothing kept by `read_ledger` or `validate_chain`,
+    so no test depends on the ledgers an earlier one read or validated."""
+    monkeypatch.setattr(ledger_mod, "_LAST_READ", (b"", [], []))
+    monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], Registry(), []))
 
 
 @pytest.fixture
