@@ -14,6 +14,17 @@ Verification results are memoized by the exact (public key, signature,
 message) bytes, which is sound because the verdict is a function of those
 bytes alone and any tampering changes the memo key. `sign` and `verify` take
 `bytes`; libsodium reads fixed-width buffers, so lengths are checked first.
+
+`sign` seeds the memo with the verdict it makes certain: (public key,
+signature, message) -> True, so a process does not verify its own signatures
+again. Ed25519 correctness makes an honest signature verify, and libsodium's
+strict rules refuse none: S comes out reduced mod L, and a clamped seed gives
+a key in the prime-order subgroup. The one exception, R equal to the identity
+encoding (probability about 2**-252), is not seeded. The public half comes
+from the seed's cached secret key, which only `crypto_sign_seed_keypair`
+fills, so it matches the seed. A forged or tampered input is a different memo
+key and still reaches libsodium, and a fresh process verifies every signature
+it reads through libsodium.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ _verify_detached = _foreign("crypto_sign_verify_detached", _BUF, _BUF, _LEN, _BU
 _signer_cache: dict[bytes, bytes] = {}
 _verify_memo: dict[tuple[bytes, bytes, bytes], bool] = {}
 _VERIFY_MEMO_LIMIT = 250_000
+# The identity point (0, 1) as an encoded R.
+_IDENTITY_R = bytes([1]) + bytes(KEY_LEN - 1)
 
 
 def sha256(data: bytes) -> bytes:
@@ -90,10 +103,17 @@ def generate_keypair(rng: random.Random) -> tuple[bytes, bytes]:
 
 
 def sign(private: bytes, message: bytes) -> bytes:
-    signature = ctypes.create_string_buffer(SIGNATURE_LEN)
-    if _sign_detached(signature, None, message, len(message), _secret_key(private)) != 0:
+    secret = _secret_key(private)
+    out = ctypes.create_string_buffer(SIGNATURE_LEN)
+    if _sign_detached(out, None, message, len(message), secret) != 0:
         raise RuntimeError("crypto_sign_detached failed")
-    return signature.raw
+    signature = out.raw
+    # Strict verification refuses an honest signature only when R is the identity.
+    if signature[:KEY_LEN] != _IDENTITY_R:
+        if len(_verify_memo) >= _VERIFY_MEMO_LIMIT:
+            _verify_memo.clear()
+        _verify_memo[(secret[KEY_LEN:], signature, message)] = True
+    return signature
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from careledger import SimConfig, spawn_network
+from careledger import SimConfig, crypto, spawn_network
 from careledger import ledger as ledger_mod
 from careledger.ledger import (
     Block,
@@ -23,10 +23,12 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 @pytest.fixture(autouse=True)
 def _empty_read_and_validate_reuse(monkeypatch):
-    """Start every test with nothing kept by `read_ledger` or `validate_chain`,
-    so no test depends on the ledgers an earlier one read or validated."""
+    """Start every test with nothing kept by `read_ledger`, `validate_chain`
+    or the signature verdict memo, so no test depends on the ledgers an
+    earlier one read or validated, or on the signatures it made."""
     monkeypatch.setattr(ledger_mod, "_LAST_READ", (b"", [], []))
     monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], Registry(), []))
+    monkeypatch.setattr(crypto, "_verify_memo", {})
 
 
 @pytest.fixture

@@ -77,15 +77,17 @@ class TestLoading:
 
 class TestRfc8032:
     @pytest.mark.parametrize("vector", [RFC8032_TEST1, RFC8032_TEST2], ids=["test1", "test2"])
-    def test_vector(self, vector):
+    def test_vector(self, vector, monkeypatch):
         seed, public, message, signature = map(bytes.fromhex, vector)
         assert crypto.generate_keypair(_Seeds(seed)) == (seed, public)
         assert crypto.sign(seed, message) == signature
+        monkeypatch.setattr(crypto, "_verify_memo", {})
         assert crypto.verify(public, signature, message)
+        assert crypto._verify_detached(signature, message, len(message), public) == 0
 
 
 class TestAgainstOracle:
-    def test_keys_signatures_and_verdicts_match_cryptography(self):
+    def test_keys_signatures_and_verdicts_match_cryptography(self, monkeypatch):
         rng = random.Random(8032)
         for _ in range(200):
             private, public = crypto.generate_keypair(rng)
@@ -94,7 +96,9 @@ class TestAgainstOracle:
             assert public == oracle.public_key().public_bytes_raw()
             signature = crypto.sign(private, message)
             assert signature == oracle.sign(message)
+            monkeypatch.setattr(crypto, "_verify_memo", {})
             assert crypto.verify(public, signature, message)
+            assert crypto._verify_detached(signature, message, len(message), public) == 0
             cases = [
                 (_flip(public, rng.randrange(8 * crypto.KEY_LEN)), signature, message),
                 (public, _flip(signature, rng.randrange(8 * crypto.SIGNATURE_LEN)), message),
@@ -102,6 +106,68 @@ class TestAgainstOracle:
             ]
             for case in cases:
                 assert crypto.verify(*case) == _oracle_verify(*case), case
+
+
+class TestSigningSeedsTheMemo:
+    """`sign` records its own verdict; every other input still reaches libsodium."""
+
+    @pytest.fixture
+    def foreign_verifies(self, monkeypatch):
+        calls = []
+        foreign = crypto._verify_detached
+
+        def counted(*args):
+            calls.append(args)
+            return foreign(*args)
+
+        monkeypatch.setattr(crypto, "_verify_detached", counted)
+        return calls
+
+    def test_sign_adds_exactly_its_own_verdict(self):
+        seed, public, message, signature = map(bytes.fromhex, RFC8032_TEST2)
+        assert crypto.sign(seed, message) == signature
+        assert crypto._verify_memo == {(public, signature, message): True}
+
+    def test_own_signature_verifies_without_a_foreign_call(self, foreign_verifies):
+        seed, public, message, signature = map(bytes.fromhex, RFC8032_TEST2)
+        crypto.sign(seed, message)
+        assert crypto.verify(public, signature, message)
+        assert foreign_verifies == []
+
+    def test_any_other_input_reaches_libsodium(self, foreign_verifies):
+        seed, public, message, signature = map(bytes.fromhex, RFC8032_TEST2)
+        other_public = crypto.generate_keypair(random.Random(1))[1]
+        crypto.sign(seed, message)
+        cases = [
+            (other_public, signature, message),
+            (public, _flip(signature, 300), message),
+            (public, signature, _flip(message, 3)),
+        ]
+        for case in cases:
+            assert not crypto.verify(*case), case
+        assert len(foreign_verifies) == len(cases)
+
+    def test_seeding_keeps_the_memo_limit(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_VERIFY_MEMO_LIMIT", 3)
+        rng = random.Random(19)
+        private, _ = crypto.generate_keypair(rng)
+        for n in range(10):
+            crypto.sign(private, n.to_bytes(4, "big"))
+            assert 1 <= len(crypto._verify_memo) <= 3
+
+    @pytest.mark.parametrize("r, seeded", [(IDENTITY_KEY, False), (_flip(IDENTITY_KEY, 1), True)],
+                             ids=["identity", "other"])
+    def test_a_signature_whose_r_is_the_identity_is_not_seeded(self, monkeypatch, r, seeded):
+        made = r + (5).to_bytes(32, "little")
+
+        def fake_sign(out, _length, _message, _message_len, _secret):
+            out.raw = made
+            return 0
+
+        monkeypatch.setattr(crypto, "_sign_detached", fake_sign)
+        seed, public, message, _ = map(bytes.fromhex, RFC8032_TEST1)
+        assert crypto.sign(seed, message) == made
+        assert ((public, made, message) in crypto._verify_memo) is seeded
 
 
 class TestStrictVerification:
