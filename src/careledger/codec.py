@@ -16,16 +16,18 @@ The same field sequence always produces the same bytes on every platform;
 there is no map ordering, padding, or float representation anywhere.
 
 A record type declares each field once with `wire(codec)`, and `Struct`
-derives both directions from those declarations. Writing is generic: each
-codec writes its value through a `Writer`. Reading is compiled: when a
-`Struct` is declared, every codec in it contributes Python source to one
-read function (`Codec.emit`), which is built with `exec`. A read function
-takes `(data, pos, end)`, reads one value from `data[pos:end]` by advancing
-an integer offset, and returns `(value, pos)`. A run of fixed-width fields
-(`U8`, `U32`, `U64`, `BOOL`, `Raw`, `Enumerated`) is one precompiled
-`struct.Struct.unpack_from`; strings, optional values, sequences, sets and
-pairs are written out inline. A codec that cannot emit a reader fails the
-declaration of the record type that uses it.
+derives both directions from those declarations. Writing is direct: each
+codec appends its own bytes to a list (`Codec.write`), which `Codec.encode`
+joins, so a primitive's layout, its range and bound checks, and its reader
+live in one class. Reading is compiled: when a `Struct` is declared, every
+codec in it contributes Python source to one read function (`Codec.emit`),
+which is built with `exec`. A read function takes `(data, pos, end)`, reads
+one value from `data[pos:end]` by advancing an integer offset, and returns
+`(value, pos)`. A run of fixed-width fields (`U8`, `U32`, `U64`, `BOOL`,
+`Raw`, `Enumerated`) is one precompiled `struct.Struct.unpack_from`;
+strings, optional values, sequences, sets and pairs are written out inline.
+A codec that cannot emit a reader fails the declaration of the record type
+that uses it.
 """
 
 from __future__ import annotations
@@ -43,46 +45,6 @@ MAX_STRING = 4096
 TRUNCATED = "input truncated"
 BAD_UTF8 = "invalid UTF-8 in string field"
 UNSORTED = "set members not in ascending order without repeats"
-
-
-class Writer:
-    __slots__ = ("_parts",)
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise EncodingError(f"u8 out of range: {value}")
-        self._parts.append(value.to_bytes(1, "big"))
-
-    def u32(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise EncodingError(f"u32 out of range: {value}")
-        self._parts.append(value.to_bytes(4, "big"))
-
-    def u64(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
-            raise EncodingError(f"u64 out of range: {value}")
-        self._parts.append(value.to_bytes(8, "big"))
-
-    def raw(self, data: bytes, width: int) -> None:
-        if len(data) != width:
-            raise EncodingError(f"expected {width} raw bytes, got {len(data)}")
-        self._parts.append(data)
-
-    def string(self, value: str, bound: int = MAX_STRING) -> None:
-        data = value.encode("utf-8")
-        if len(data) > bound:
-            raise EncodingError(f"string exceeds {bound} byte bound")
-        self.u32(len(data))
-        self._parts.append(data)
-
-    def boolean(self, value: bool) -> None:
-        self.u8(1 if value else 0)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +168,8 @@ class Codec:
     (`emit`), how it orders inside a sorted set (`key`), and how it shows in
     an audit record."""
 
-    def write(self, w: Writer, value) -> None:
+    def write(self, out: list[bytes], value) -> None:
+        """Append the bytes of `value` to `out`."""
         raise NotImplementedError
 
     def emit(self, src: Source) -> str:
@@ -231,9 +194,9 @@ class Codec:
         return _compile(self, type(self).__name__)
 
     def encode(self, value) -> bytes:
-        w = Writer()
-        self.write(w, value)
-        return w.getvalue()
+        out: list[bytes] = []
+        self.write(out, value)
+        return b"".join(out)
 
     def decode(self, data: bytes, start: int = 0, end: int | None = None):
         """The one value that `data[start:end]` holds, and nothing after it."""
@@ -263,20 +226,28 @@ class Fixed(Codec):
 
 
 class _Unsigned(Fixed):
-    def __init__(self, fmt: str, write) -> None:
-        self.fmt, self.write = fmt, write
+    """A big-endian unsigned integer `width` bytes wide."""
+
+    def __init__(self, width: int) -> None:
+        self.name, self.width = f"u{8 * width}", width
+        self.fmt, self.max = {1: "B", 4: "I", 8: "Q"}[width], (1 << 8 * width) - 1
+
+    def write(self, out: list[bytes], value: int) -> None:
+        if not 0 <= value <= self.max:
+            raise EncodingError(f"{self.name} out of range: {value}")
+        out.append(value.to_bytes(self.width, "big"))
 
 
-U8 = _Unsigned("B", Writer.u8)
-U32 = _Unsigned("I", Writer.u32)
-U64 = _Unsigned("Q", Writer.u64)
+U8 = _Unsigned(1)
+U32 = _Unsigned(4)
+U64 = _Unsigned(8)
 
 
 class _Boolean(Fixed):
     fmt, limit = "B", 1
 
-    def write(self, w: Writer, value: bool) -> None:
-        w.boolean(value)
+    def write(self, out: list[bytes], value: bool) -> None:
+        out.append(b"\x01" if value else b"\x00")
 
     def refuse(self, raw: int) -> None:
         raise EncodingError(f"invalid boolean byte {raw}")
@@ -292,8 +263,12 @@ class Str(Codec):
     def __init__(self, bound: int = MAX_STRING) -> None:
         self.bound = bound
 
-    def write(self, w: Writer, value: str) -> None:
-        w.string(value, self.bound)
+    def write(self, out: list[bytes], value: str) -> None:
+        data = value.encode("utf-8")
+        if len(data) > self.bound:
+            raise EncodingError(f"string exceeds {self.bound} byte bound")
+        U32.write(out, len(data))
+        out.append(data)
 
     def emit(self, src: Source) -> str:
         return src.text(src.sized(self.bound))
@@ -305,8 +280,10 @@ class Raw(Fixed):
     def __init__(self, width: int) -> None:
         self.width, self.fmt = width, f"{width}s"
 
-    def write(self, w: Writer, value: bytes) -> None:
-        w.raw(value, self.width)
+    def write(self, out: list[bytes], value: bytes) -> None:
+        if len(value) != self.width:
+            raise EncodingError(f"expected {self.width} raw bytes, got {len(value)}")
+        out.append(value)
 
     def audit(self, value: bytes) -> str:
         return value.hex()
@@ -323,8 +300,8 @@ class Enumerated(Fixed):
         self.name = enum_type.__name__
         self.limit = len(self.members) - 1
 
-    def write(self, w: Writer, value) -> None:
-        w.u8(self.codes[value])
+    def write(self, out: list[bytes], value) -> None:
+        U8.write(out, self.codes[value])
 
     def refuse(self, raw: int) -> None:
         raise EncodingError(f"unknown {self.name} code {raw}")
@@ -343,10 +320,10 @@ class Opt(Codec):
     def __init__(self, item: Codec) -> None:
         self.item = item
 
-    def write(self, w: Writer, value) -> None:
-        w.boolean(value is not None)
+    def write(self, out: list[bytes], value) -> None:
+        BOOL.write(out, value is not None)
         if value is not None:
-            self.item.write(w, value)
+            self.item.write(out, value)
 
     def emit(self, src: Source) -> str:
         present, value = BOOL.emit(src), src.local("opt")
@@ -367,10 +344,10 @@ class Seq(Codec):
     def __init__(self, item: Codec) -> None:
         self.item = item
 
-    def write(self, w: Writer, value) -> None:
-        w.u32(len(value))
+    def write(self, out: list[bytes], value) -> None:
+        U32.write(out, len(value))
         for member in value:
-            self.item.write(w, member)
+            self.item.write(out, member)
 
     def emit(self, src: Source) -> str:
         count, members = U32.emit(src), src.local("members")
@@ -397,8 +374,8 @@ class SortedSet(Seq):
         super().__init__(item)
         self.into = into
 
-    def write(self, w: Writer, value) -> None:
-        super().write(w, sorted(value, key=self.item.key))
+    def write(self, out: list[bytes], value) -> None:
+        super().write(out, sorted(value, key=self.item.key))
 
     def collect(self, src: Source, members: str) -> str:
         keys = members
@@ -417,9 +394,9 @@ class Pair(Codec):
     def __init__(self, first: Codec, second: Codec) -> None:
         self.first, self.second = first, second
 
-    def write(self, w: Writer, value: tuple) -> None:
-        self.first.write(w, value[0])
-        self.second.write(w, value[1])
+    def write(self, out: list[bytes], value: tuple) -> None:
+        self.first.write(out, value[0])
+        self.second.write(out, value[1])
 
     def emit(self, src: Source) -> str:
         first, second = src.values([self.first, self.second])
@@ -453,9 +430,9 @@ class Struct(Codec):
         self._writers = tuple((name, codec.write) for name, codec in self.fields)
         self.reader = _compile(self, cls.__name__)
 
-    def write(self, w: Writer, value) -> None:
+    def write(self, out: list[bytes], value) -> None:
         for name, write in self._writers:
-            write(w, getattr(value, name))
+            write(out, getattr(value, name))
 
     def emit(self, src: Source) -> str:
         values, value = src.values(self.codecs), src.local("record")

@@ -119,23 +119,14 @@ def parse_quiz(lines: Iterable[str]) -> Quiz:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AttemptRecord:
-    ordinal: int
-    mistakes: int
-    at: int
-    tx_id: bytes
-    passed: bool
-
-
-@dataclass
 class LifecycleRecord:
     study_id: str
     participant: PrincipalId
     state: str = "invited"
-    attempts: list[AttemptRecord] = field(default_factory=list)
+    attempts: int = 0
+    mistakes: int = 0
     passing_tx: Optional[bytes] = None
     signed_at: Optional[int] = None
-    withdrawn_at: Optional[int] = None
 
 
 @dataclass
@@ -231,9 +222,8 @@ class ConsentState:
         elif isinstance(p, (QuizAttemptRecorded, ConsentSigned, ConsentWithdrawn)):
             rec = self.lifecycles[(p.study_id, p.participant.id)]
             if isinstance(p, QuizAttemptRecorded):
-                rec.attempts.append(
-                    AttemptRecord(p.ordinal, p.mistakes, tx.timestamp, tx.tx_id, p.passed)
-                )
+                rec.attempts += 1
+                rec.mistakes += p.mistakes
                 if p.passed:
                     rec.passing_tx = rec.passing_tx or tx.tx_id
                     rec.state = "passed"
@@ -244,7 +234,6 @@ class ConsentState:
                 rec.signed_at = tx.timestamp
             else:
                 rec.state = "withdrawn"
-                rec.withdrawn_at = tx.timestamp
         elif isinstance(p, ProfilePublished):
             # Republishing replaces the profile: layer policy must be adjustable.
             self.profiles[p.participant.id] = ProfileRecord(
@@ -288,7 +277,7 @@ def make_attempt(
     """
     rec = state.lifecycles.get((study_id, participant.id))
     mistakes, passed = quiz.grade(answers)
-    ordinal = len(rec.attempts) + 1 if rec is not None else 1
+    ordinal = rec.attempts + 1 if rec is not None else 1
     payload = QuizAttemptRecorded(study_id, participant, ordinal, mistakes, passed)
     return payload, quiz.wrong_indexes(answers)
 
@@ -399,8 +388,8 @@ def consent_status(
             DashboardRow(
                 participant=participant_id,
                 state=rec.state,
-                attempts=len(rec.attempts),
-                total_mistakes=sum(a.mistakes for a in rec.attempts),
+                attempts=rec.attempts,
+                total_mistakes=rec.mistakes,
                 struggles=struggles,
                 signed_at=rec.signed_at,
             )

@@ -40,7 +40,6 @@ from .codec import (
     Source,
     Str,
     Struct,
-    Writer,
     wire,
 )
 from .errors import ChainError, EncodingError
@@ -134,9 +133,9 @@ class _Principal(Codec):
     table. Sorts as PrincipalId does (by the kind's value, then the id);
     shows in audit records as the id."""
 
-    def write(self, w: Writer, value: PrincipalId) -> None:
-        KIND.write(w, value.kind)
-        w.string(value.id, ID_BOUND)
+    def write(self, out: list[bytes], value: PrincipalId) -> None:
+        KIND.write(out, value.kind)
+        ID.write(out, value.id)
 
     def emit(self, src: Source) -> str:
         # A damaged principal fails on its id's length, then its kind code,
@@ -351,9 +350,9 @@ class ProfilePublished(Payload):
 class _Tagged(Codec):
     """A payload: its type's u8 tag, then its fields."""
 
-    def write(self, w: Writer, value: Payload) -> None:
-        w.u8(value.TAG)
-        value.WIRE.write(w, value)
+    def write(self, out: list[bytes], value: Payload) -> None:
+        U8.write(out, value.TAG)
+        value.WIRE.write(out, value)
 
     def emit(self, src: Source) -> str:
         tag, read, payload = U8.emit(src), src.local("read"), src.local("payload")
@@ -410,8 +409,8 @@ class _Hashed(Codec):
     def __init__(self, struct: Struct, hashed: int, attr: str) -> None:
         self.struct, self.hashed, self.attr = struct, hashed, attr
 
-    def write(self, w: Writer, value) -> None:
-        self.struct.write(w, value)
+    def write(self, out: list[bytes], value) -> None:
+        self.struct.write(out, value)
 
     def emit(self, src: Source) -> str:
         start, digest, value = src.local("start"), src.local("digest"), src.local("value")
@@ -428,10 +427,10 @@ class _SignedTx(_Hashed):
     """A transaction in a block record: its canonical encoding, then its
     signature; the encoding hashes to the transaction id."""
 
-    def write(self, w: Writer, tx: Transaction) -> None:
+    def write(self, out: list[bytes], tx: Transaction) -> None:
         if tx.signature is None:
             raise ChainError("cannot persist an unsigned transaction")
-        super().write(w, tx)
+        super().write(out, tx)
 
 
 _SIGNED_TX = _SignedTx(Struct(Transaction, _TX.fields + (("signature", SIGNATURE),)), len(_TX.fields), "tx_id")

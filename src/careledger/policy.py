@@ -72,7 +72,6 @@ class TreatmentPlan:
     patient: PrincipalId
     member_orgs: frozenset[PrincipalId]
     practitioners: frozenset[tuple[PrincipalId, PrincipalId]]
-    created_at: int
 
 
 @dataclass
@@ -202,7 +201,7 @@ class PolicyState:
             if self.principals.register(p) and p.subject.kind is Kind.PRACTITIONER:
                 self.practitioner_orgs[p.subject.id] = p.org_binding
         elif isinstance(p, CreatePlan):
-            plan = TreatmentPlan(p.plan_id, p.patient, p.member_orgs, p.practitioners, tx.timestamp)
+            plan = TreatmentPlan(p.plan_id, p.patient, p.member_orgs, p.practitioners)
             self.plans[p.plan_id] = plan
             self.patient_plans.setdefault(p.patient, []).append(plan)
         elif isinstance(p, GrantAccess):

@@ -259,6 +259,13 @@ class Simulation:
         self.trace.append(event)
         return event
 
+    def _drop(self, node: Node, message_type: str, rule: str, sender: Optional[str] = None, **detail) -> None:
+        """Trace a message of `message_type` that `node` refused under `rule`,
+        naming its `sender` when given."""
+        if sender is not None:
+            detail["from"] = sender
+        self._trace("msg_delivered", {"to": node.org.id, "type": message_type, "dropped": rule, **detail})
+
     def _schedule(self, delay: int, fn: str, args: tuple) -> None:
         heapq.heappush(self._queue, (self.clock + delay, self._eseq, fn, args))
         self._eseq += 1
@@ -363,10 +370,7 @@ class Simulation:
             prev = node.ledger.blocks[-1] if node.ledger.blocks else None
             violation = check_block(prev, block, node.policy.principals)
             if violation is not None:
-                self._trace(
-                    "msg_delivered",
-                    {"to": node.org.id, "from": source.org.id, "type": "sync", "dropped": violation.rule},
-                )
+                self._drop(node, "sync", violation.rule, source.org.id)
                 return
             self._commit(node, block, sync=True)
 
@@ -492,7 +496,7 @@ class Simulation:
         verified = verify_tx(tx, node.policy.principals)
         dropped = getattr(_check_tx(node, tx), "rule", None) if verified else "signature"
         if dropped is not None:
-            self._trace("msg_delivered", {"to": node.org.id, "type": "tx", "dropped": dropped, "tx": tx.tx_id.hex()})
+            self._drop(node, "tx", dropped, tx=tx.tx_id.hex())
             return
         node.mempool[tx.tx_id] = tx
         self._maybe_schedule_attempt()
@@ -511,7 +515,7 @@ class Simulation:
                 violation = next(filter(None, (_check_tx(node, tx) for tx in unchecked)), None)
             dropped = getattr(violation, "rule", None)
         if dropped is not None:
-            self._trace("msg_delivered", {"to": node.org.id, "type": "propose", "dropped": dropped})
+            self._drop(node, "propose", dropped)
             return
         self._send(
             node.org.id,
@@ -533,7 +537,7 @@ class Simulation:
             state.endorsements[org.id] = message["sig"]
             self._check_round_commit()
             return
-        self._trace("msg_delivered", {"to": node.org.id, "type": "endorse", "dropped": dropped})
+        self._drop(node, "endorse", dropped)
 
     def _on_commit(self, node: Node, from_org: str, message: dict) -> None:
         block: Block = message["block"]
@@ -546,7 +550,7 @@ class Simulation:
             return
         violation = check_block(node.ledger.tip(), block, node.policy.principals)
         if violation is not None:
-            self._trace("msg_delivered", {"to": node.org.id, "type": "commit", "dropped": violation.rule})
+            self._drop(node, "commit", violation.rule)
             return
         self._commit(node, block)
 
@@ -1006,10 +1010,7 @@ class Simulation:
         if not state.outstanding:
             self.matches[state.match_id] = tuple(sorted(state.matched))
         if forged:
-            self._trace(
-                "msg_delivered",
-                {"to": node.org.id, "from": from_org, "type": "match_response", "dropped": "not_author"},
-            )
+            self._drop(node, "match_response", "not_author", from_org)
 
     def match_result(self, match_id: int) -> list[str]:
         state = self.matches.get(match_id)

@@ -8,7 +8,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from careledger.codec import BOOL, U32, U64, Codec, Pair, Str, Struct, Writer, wire
+from careledger.codec import BOOL, U8, U32, U64, Codec, Enumerated, Opt, Pair, Raw, Seq, Str, Struct, wire
 from careledger.errors import EncodingError
 from careledger.ledger import (
     AccessCompleted,
@@ -56,11 +56,47 @@ def test_integer_widths_and_bounds():
     with pytest.raises(EncodingError, match="invalid boolean byte 2"):
         BOOL.decode(b"\x02")
     with pytest.raises(EncodingError):
-        Writer().u8(256)
+        U8.encode(256)
     with pytest.raises(EncodingError):
         U32.encode(2**32)
     with pytest.raises(EncodingError):
         U64.encode(-1)
+
+
+def test_write_side_range_and_bound_errors():
+    with pytest.raises(EncodingError, match="^u8 out of range: 256$"):
+        U8.encode(256)
+    with pytest.raises(EncodingError, match="^u32 out of range: 4294967296$"):
+        U32.encode(2**32)
+    with pytest.raises(EncodingError, match="^u64 out of range: -1$"):
+        U64.encode(-1)
+    with pytest.raises(EncodingError, match="^expected 32 raw bytes, got 31$"):
+        Raw(32).encode(bytes(31))
+    with pytest.raises(EncodingError, match="^string exceeds 64 byte bound$"):
+        Str(64).encode("é" * 33)  # 33 characters, 66 UTF-8 bytes
+
+
+def test_primitive_encodings_at_their_edges():
+    assert U8.encode(0) == b"\x00"
+    assert U8.encode(255) == b"\xff"
+    assert U32.encode(0) == bytes(4)
+    assert U32.encode(2**32 - 1) == b"\xff" * 4
+    assert U32.encode(0x01020304) == b"\x01\x02\x03\x04"
+    assert U64.encode(0) == bytes(8)
+    assert U64.encode(2**64 - 1) == b"\xff" * 8
+    assert U64.encode(0x0102030405060708) == bytes(range(1, 9))
+    assert BOOL.encode(False) == b"\x00"
+    assert BOOL.encode(True) == b"\x01"
+    assert Raw(0).encode(b"") == b""
+    assert Raw(3).encode(b"\x00\x7f\xff") == b"\x00\x7f\xff"
+    assert Str(64).encode("x" * 64) == b"\x00\x00\x00\x40" + b"x" * 64
+    assert Str(5).encode("é€") == b"\x00\x00\x00\x05" + "é€".encode("utf-8")
+    assert Enumerated(Kind).encode(Kind.ORGANIZATION) == b"\x00"
+    assert Enumerated(Kind).encode(list(Kind)[-1]) == bytes([len(Kind) - 1])
+    assert Opt(U8).encode(None) == b"\x00"
+    assert Opt(U8).encode(0) == b"\x01\x00"
+    assert Seq(U8).encode(()) == bytes(4)
+    assert Seq(U8).encode((1, 255)) == b"\x00\x00\x00\x02\x01\xff"
 
 
 def test_reader_truncation_detected():
@@ -92,8 +128,8 @@ def test_trailing_bytes_detected():
 
 def test_a_codec_without_a_compiled_reader_fails_its_record_declaration():
     class Opaque(Codec):
-        def write(self, w, value):
-            w.u8(value)
+        def write(self, out, value):
+            U8.write(out, value)
 
     @dataclass(frozen=True)
     class Record:
