@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: run, verify, audit, timeline, dashboard, shred-check.
-Exit codes: 0 success, 1 domain finding (chain violation, expired session,
+Exit codes: 0 success, 1 domain finding (ledger violation, expired session,
 re-derivable commitment), 2 usage or parse error. Output goes to stdout,
 diagnostics to stderr. A subcommand that fails raises `_Exit` with its code
 and message, and `main` alone turns that into stderr and the exit status.
+A ledger violation breaks a chain rule or a transaction rule.
 CARELEDGER_SEED is the fallback for --seed.
 """
 
@@ -33,6 +34,7 @@ from .ledger import (
     validate_chain,
     write_ledger,
 )
+from .policy import fold
 from .scenario import run_scenario
 from .simnet import SYNTHETIC_NAMES, SimConfig, Simulation
 
@@ -56,11 +58,14 @@ def _read(path: str | Path) -> LedgerState:
         raise _Exit(2, f"unreadable ledger: {exc}") from exc
 
 
-def _valid(ledger: LedgerState) -> LedgerState:
-    report = validate_chain(ledger)
-    if not report.ok:
-        raise _Exit(1, str(report.violation))
-    return ledger
+def _valid(ledger: LedgerState) -> ConsentState:
+    """`ledger`'s consent fold once it passes `validate_chain`, then `fold`; else exit 1."""
+    violation = validate_chain(ledger).violation
+    if violation is None:
+        _, consent, violation = fold(ledger.blocks)
+    if violation is not None:
+        raise _Exit(1, str(violation))
+    return consent
 
 
 def _load_state(out_dir: str) -> dict:
@@ -164,16 +169,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ledger = _read(args.ledger)
-    report = validate_chain(ledger)
-    if report.ok:
-        print(f"ok: {len(ledger.blocks)} blocks, {sum(len(b.transactions) for b in ledger.blocks)} transactions")
-        return 0
-    print(str(report.violation))
-    return 1
+    try:
+        _valid(ledger)
+    except _Exit as exc:  # the violation is verify's report, so it goes to stdout
+        print(str(exc))
+        return exc.code
+    print(f"ok: {len(ledger.blocks)} blocks, {sum(len(b.transactions) for b in ledger.blocks)} transactions")
+    return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    ledger = _valid(_read(args.ledger))
+    ledger = _read(args.ledger)
+    _valid(ledger)
     try:
         entries = query_audit(
             ledger,
@@ -233,10 +240,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     ledgers = sorted(Path(args.out).glob("*.ledger"))
     if not ledgers:
         raise _Exit(2, f"no ledger under {args.out}; run a scenario first")
-    ledger = _valid(max((_read(path) for path in ledgers), key=lambda led: len(led.blocks)))
-    consent = ConsentState()
-    for height, pos, tx in ledger.transactions():
-        consent.apply(tx, height, pos)
+    consent = _valid(max((_read(path) for path in ledgers), key=lambda led: len(led.blocks)))
     struggles = state["struggles"].get(args.study, {})
     rows = consent_mod.consent_status(
         consent, PrincipalId(Kind.RESEARCHER, args.researcher), args.study, struggles
@@ -251,7 +255,8 @@ def cmd_shred_check(args: argparse.Namespace) -> int:
     vault = state["vaults"].get(args.org)
     if vault is None:
         raise _Exit(2, f"unknown organization {args.org}")
-    ledger = _valid(_read(Path(args.out) / f"{args.org}.ledger"))
+    ledger = _read(Path(args.out) / f"{args.org}.ledger")
+    _valid(ledger)
     commitments = set()
     for _, _, tx in ledger.transactions():
         if isinstance(tx.payload, RegisterPrincipal) and tx.payload.identity_commitment:

@@ -191,6 +191,14 @@ class ConsentState:
                 # Legal until signed or withdrawn; `apply` keeps a pass sticky.
                 if rec.state in ("signed", "withdrawn"):
                     return _refuse("bad_transition", f"consent already {rec.state}; no further attempts")
+                if p.ordinal != rec.attempts + 1:
+                    rule = "duplicate" if p.ordinal <= rec.attempts else "malformed"
+                    return _refuse(rule, f"attempt {p.ordinal} is not attempt {rec.attempts + 1}")
+                if p.passed != (p.mistakes <= PASS_MISTAKE_LIMIT):
+                    return _refuse("malformed", f"passed={p.passed} does not match {p.mistakes} mistakes")
+                questions = self.studies[p.study_id].question_count
+                if p.mistakes > questions:
+                    return _refuse("malformed", f"{p.mistakes} mistakes on a {questions}-question quiz")
             elif isinstance(p, ConsentSigned):
                 if rec.state == "signed":
                     return _refuse("bad_transition", "consent already signed")

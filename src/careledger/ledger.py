@@ -686,8 +686,8 @@ def check_proposal(
     every transaction verifies against `registry` (the keys on file before
     the block), and no two transactions write the same fold entry.
 
-    Endorsers also run the transaction rules, which need the folds; a
-    quorum of endorsements certifies that they passed."""
+    The transaction rules need the folds, so they live in `policy`:
+    endorsers, commits, replays and the CLI run them after this check."""
     height = 0 if prev is None else prev.height + 1
     if block.height != height:
         return Violation(height, "height", f"expected height {height}, block says {block.height}")

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from .errors import PolicyError
+from .consent import ConsentState
+from .errors import CareLedgerError, PolicyError
 from .ledger import (
+    Block,
     Category,
     CreatePlan,
     DataRequestRecorded,
@@ -29,6 +31,7 @@ from .ledger import (
     Registry,
     RevokeAccess,
     Transaction,
+    Violation,
 )
 
 
@@ -228,6 +231,46 @@ class PolicyState:
 
 
 _refuse = PolicyError.refuse
+
+
+# ---------------------------------------------------------------------------
+# The transaction rules of a block and the one fold step
+# ---------------------------------------------------------------------------
+
+
+def check_tx(policy: PolicyState, consent: ConsentState, tx: Transaction) -> Optional[CareLedgerError]:
+    """The rules of `tx`'s payload type against the folds `policy` and `consent`."""
+    return policy.check(tx) or consent.check(tx, policy.principals)
+
+
+def check_rules(policy: PolicyState, consent: ConsentState, block: Block) -> Optional[Violation]:
+    """The first transaction of `block` that fails `check_tx` against the
+    folds before the block, as a violation at its height; None if none does."""
+    for pos, tx in enumerate(block.transactions):
+        error = check_tx(policy, consent, tx)
+        if error is not None:
+            return Violation(block.height, error.rule, f"tx #{pos} ({tx.tx_id.hex()}): {error}")
+    return None
+
+
+def apply_block(policy: PolicyState, consent: ConsentState, block: Block) -> None:
+    """Fold the transactions of `block`, which passed `check_rules`."""
+    for pos, tx in enumerate(block.transactions):
+        policy.apply(tx, block.height, pos)
+        consent.apply(tx, block.height, pos)
+
+
+def fold(blocks: Iterable[Block]) -> tuple[PolicyState, ConsentState, Optional[Violation]]:
+    """The folds of a chain that passes `validate_chain`, each block checked by
+    `check_rules` before it is applied, up to the first block that fails,
+    and that block's violation (None when every block passes)."""
+    policy, consent = PolicyState(), ConsentState()
+    for block in blocks:
+        violation = check_rules(policy, consent, block)
+        if violation is not None:
+            return policy, consent, violation
+        apply_block(policy, consent, block)
+    return policy, consent, None
 
 
 # ---------------------------------------------------------------------------

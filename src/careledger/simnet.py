@@ -6,19 +6,20 @@ expiry timers. The trace and every committed chain are pure functions of
 (script, seed). Nodes hold only plain data (bytes keys, dataclasses, dicts),
 so a whole simulation can be forked with deepcopy for prefix exploration.
 
-Transactions meet their payload type's rules (`PolicyState.check`,
-`ConsentState.check`) at submission, at each peer's admission, and in each
-endorser's check of a proposal, against the state before the block. A
-proposer takes one pending transaction per fold entry; a commit drops
-(traced) the pending ones whose entry it wrote and that no longer pass.
+Transactions meet their payload type's rules (`policy.check_tx`) at
+submission, at each peer's admission, in each endorser's check of a
+proposal, and when a node takes a peer's block, against the state before
+the block. A proposer takes one pending transaction per fold entry; a
+commit drops (traced) the pending ones whose entry it wrote and that no
+longer pass.
 
 Consensus is a minimal crash-fault round: the proposer for height h is the
 h-th member organization round-robin (offline proposers are skipped), every
 online member checks the proposal and endorses the header digest, and the
-block commits once floor(2n/3)+1 endorsements are collected. The quorum
-vouches for the transaction rules, so commits and replays check the chain
-rules only. Rounds that cannot reach quorum abort and leave their
-transactions pending.
+block commits once floor(2n/3)+1 endorsements are collected. A block from
+a peer, by a commit message or by replay, must pass `check_block` and then
+`policy.check_rules` against the node's folds. Rounds that cannot reach
+quorum abort and leave their transactions pending.
 
 Every block a node takes goes through one `_commit`: genesis, the
 proposer's own commit, a `commit` message, and replay. One `_replay` serves
@@ -43,7 +44,7 @@ from . import consent as consent_mod
 from . import crypto
 from . import policy as policy_mod
 from .consent import ConsentState, Quiz
-from .errors import CareLedgerError, ConsentError, PolicyError, SimError
+from .errors import ConsentError, PolicyError, SimError
 from .exchange import OffChainStore, RequestOutcome, Session, VaultRow, build_timeline
 from .ledger import (
     AccessCompleted,
@@ -54,6 +55,7 @@ from .ledger import (
     Kind,
     LedgerState,
     PrincipalId,
+    QuizAttemptRecorded,
     RegisterPrincipal,
     Transaction,
     build_block,
@@ -64,7 +66,7 @@ from .ledger import (
     sign_tx,
     verify_tx,
 )
-from .policy import Decision, PolicyState, Verdict
+from .policy import Decision, PolicyState, Verdict, apply_block, check_rules, check_tx
 
 # Synthetic true identities for patients and participants. These are the
 # only "real" identifiers in the system; they live in org vaults, never on
@@ -152,11 +154,6 @@ class Node:
     def __post_init__(self) -> None:
         if self.store is None:
             self.store = OffChainStore(self.org.id)
-
-
-def _check_tx(node: Node, tx: Transaction) -> Optional[CareLedgerError]:
-    """The rules of `tx`'s payload type against `node`'s folds."""
-    return node.policy.check(tx) or node.consent.check(tx, node.policy.principals)
 
 
 def _sealed(block: Block, endorsements: dict[str, bytes]) -> Block:
@@ -323,9 +320,8 @@ class Simulation:
         invalidated, provision a node for each organization it registers,
         forward the data requests `node` made, and retry deferred ones."""
         node.ledger.append(block)
-        for pos, tx in enumerate(block.transactions):
-            node.policy.apply(tx, block.height, pos)
-            node.consent.apply(tx, block.height, pos)
+        apply_block(node.policy, node.consent, block)
+        for tx in block.transactions:
             node.mempool.pop(tx.tx_id, None)
         detail = {"height": block.height, "org": node.org.id, "hash": block.hash.hex()}
         if sync:
@@ -336,7 +332,7 @@ class Simulation:
         if node.mempool:
             written = {tx.payload.key() for tx in block.transactions} - {None}
             for tx in [tx for tx in node.mempool.values() if tx.payload.key() in written]:
-                violation = _check_tx(node, tx)
+                violation = check_tx(node.policy, node.consent, tx)
                 if violation is not None:
                     del node.mempool[tx.tx_id]
                     self._trace("tx_dropped", {"org": node.org.id, "tx": tx.tx_id.hex(), "rule": violation.rule})
@@ -362,17 +358,24 @@ class Simulation:
                 self._process_data_request(node, request_tx_id)
         self._maybe_schedule_attempt()
 
+    def _take(self, node: Node, block: Block, message_type: str, sender: Optional[str] = None) -> bool:
+        """Commit a peer's `block` at `node` if it passes `check_block` and then
+        `check_rules`, else trace it as a dropped `message_type` message."""
+        prev = node.ledger.blocks[-1] if node.ledger.blocks else None
+        violation = check_block(prev, block, node.policy.principals) or check_rules(node.policy, node.consent, block)
+        if violation is not None:
+            self._drop(node, message_type, violation.rule, sender)
+            return False
+        self._commit(node, block, sync=message_type == "sync")
+        return True
+
     def _replay(self, node: Node, source: Node) -> None:
-        """Commit the blocks of `source`'s chain that `node` lacks, each checked
+        """Take the blocks of `source`'s chain that `node` lacks, each checked
         as a commit is checked; the first that fails stops the replay and is
         traced as a dropped `sync` message."""
         for block in source.ledger.blocks[node.ledger.height + 1 :]:
-            prev = node.ledger.blocks[-1] if node.ledger.blocks else None
-            violation = check_block(prev, block, node.policy.principals)
-            if violation is not None:
-                self._drop(node, "sync", violation.rule, source.org.id)
+            if not self._take(node, block, "sync", source.org.id):
                 return
-            self._commit(node, block, sync=True)
 
     # -- consensus ------------------------------------------------------------
 
@@ -494,7 +497,7 @@ class Simulation:
         if tx.tx_id in node.mempool or node.ledger.find_tx(tx.tx_id) is not None:
             return
         verified = verify_tx(tx, node.policy.principals)
-        dropped = getattr(_check_tx(node, tx), "rule", None) if verified else "signature"
+        dropped = getattr(check_tx(node.policy, node.consent, tx), "rule", None) if verified else "signature"
         if dropped is not None:
             self._drop(node, "tx", dropped, tx=tx.tx_id.hex())
             return
@@ -512,7 +515,7 @@ class Simulation:
             violation = check_proposal(node.ledger.tip(), block, node.policy.principals)
             if violation is None:  # the pending txs passed already
                 unchecked = (tx for tx in block.transactions if tx.tx_id not in node.mempool)
-                violation = next(filter(None, (_check_tx(node, tx) for tx in unchecked)), None)
+                violation = next(filter(None, (check_tx(node.policy, node.consent, tx) for tx in unchecked)), None)
             dropped = getattr(violation, "rule", None)
         if dropped is not None:
             self._drop(node, "propose", dropped)
@@ -546,13 +549,8 @@ class Simulation:
             # interval; pull the missing blocks from a peer instead of
             # dropping this one.
             self._replay(node, self._highest_online())
-        if block.height != node.ledger.height + 1:
-            return
-        violation = check_block(node.ledger.tip(), block, node.policy.principals)
-        if violation is not None:
-            self._drop(node, "commit", violation.rule)
-            return
-        self._commit(node, block)
+        if block.height == node.ledger.height + 1:
+            self._take(node, block, "commit")
 
     # -- transaction submission ---------------------------------------------
 
@@ -565,7 +563,7 @@ class Simulation:
     def _submit_tx(self, via: Node, tx: Transaction) -> Transaction:
         if not via.online:
             raise SimError(f"node {via.org.id} is offline; cannot submit")
-        violation = _check_tx(via, tx)
+        violation = check_tx(via.policy, via.consent, tx)
         if violation is not None:
             raise violation
         result = verify_tx(tx, via.policy.principals)
@@ -883,6 +881,10 @@ class Simulation:
         quiz = self.quizzes.get(study_id)
         if quiz is None:
             raise ConsentError(f"unknown study {study_id}")
+        # An attempt is numbered from the committed fold, so one at a time.
+        pending = (tx.payload for tx in via.mempool.values())
+        if any(isinstance(q, QuizAttemptRecorded) and (q.study_id, q.participant) == (study_id, participant) for q in pending):
+            raise ConsentError.refuse("duplicate", f"an attempt of {participant_id} at {study_id} is still pending")
         payload, wrong = consent_mod.make_attempt(via.consent, participant, study_id, quiz, answers)
         tx = self._sign_and_submit(via, participant, via.org, payload)
         via.struggles.setdefault((study_id, participant_id), []).append(wrong)

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,12 @@ from careledger import ledger as ledger_mod
 from careledger.ledger import (
     Block,
     Category,
+    GrantAccess,
     Kind,
+    PrincipalId,
     Registry,
     Transaction,
+    build_block,
     compute_tx_root,
     endorse_block,
     sign_tx,
@@ -65,6 +69,27 @@ def signed(sim, author, author_org, payload, at=None):
     """`payload` as a transaction `author` signs at `at` (default: now)."""
     tx = Transaction(sim.clock if at is None else at, author, author_org, payload)
     return sign_tx(tx, sim.private_keys[author])
+
+
+def sealed_by_all(sim, tx, prev):
+    """A block of `tx` after `prev` that the first org proposes and every org
+    endorses with the key it registered at genesis."""
+    first = next(iter(sim.nodes.values()))
+    block = build_block([tx], prev, first.org, sim.clock, first.policy.principals)
+    keys = sorted((org, key) for org, key in sim.private_keys.items() if org.kind is Kind.ORGANIZATION)
+    return replace(block, endorsements=tuple((org, endorse_block(block, key)) for org, key in keys))
+
+
+def rule_breaking_block(sim):
+    """A block after hospital's tip in `build_care_sim()` that passes every
+    block rule, carrying every member's endorsement, but whose one
+    transaction breaks a transaction rule: drjones signs a grant that names
+    p001 as its grantor (`not_author`)."""
+    drjones = PrincipalId(Kind.PRACTITIONER, "drjones")
+    p001, nurse1 = PrincipalId(Kind.PATIENT, "p001"), PrincipalId(Kind.PRACTITIONER, "nurse1")
+    grant = GrantAccess("g900", "plan1", p001, nurse1, frozenset({Category.NOTES}), 0, 600_000)
+    tx = signed(sim, drjones, PrincipalId(Kind.ORGANIZATION, "hospital"), grant)
+    return sealed_by_all(sim, tx, sim.nodes["hospital"].ledger.tip())
 
 
 def propose(sim, proposer: str, to: str, txs, height=None) -> list:

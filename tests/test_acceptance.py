@@ -214,14 +214,15 @@ def test_acceptance_3_audit_completeness():
         sim = _run_fixture(name)
         basis = max(sim.nodes.values(), key=lambda n: n.ledger.height)
         requests = {}
-        completions = {}
+        completed = {}
         for _, _, tx in basis.ledger.transactions():
             if tx.action == "DataRequestRecorded":
                 requests[tx.tx_id] = tx
             elif tx.action == "AccessCompleted":
-                completions[tx.payload.request_tx] = tx
+                completed.setdefault(tx.payload.request_tx, []).append(tx)
         # Every request has exactly one completion referencing it (deny too).
-        assert set(requests) == set(completions), name
+        assert {rid: len(txs) for rid, txs in completed.items()} == dict.fromkeys(requests, 1), name
+        completions = {rid: tx for rid, (tx,) in completed.items()}
         opened = [e for e in sim.trace if e.kind == "session_opened"]
         opened_request_ids = [bytes.fromhex(e.detail["request"]) for e in opened]
         assert len(set(opened_request_ids)) == len(opened_request_ids), name

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from careledger.cli import main
+from careledger.cli import STATE_FILE, _state_dict, main
 from careledger.ledger import Kind, PrincipalId, RegisterPrincipal, read_ledger, write_ledger
 
-from conftest import FIXTURES
+from conftest import FIXTURES, build_care_sim, rule_breaking_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -243,6 +243,45 @@ class TestShredCheck:
         assert main(["shred-check", str(out), "homecare", "--patient", "p001"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "tx_root" in captured.err
+
+
+@pytest.fixture(scope="module")
+def rule_breaking_out(tmp_path_factory):
+    """`build_care_sim()`'s output directory, as `run` writes it, after every
+    ledger took a block that passes the chain rules but not the transaction
+    rules; returns the directory and that block."""
+    out = tmp_path_factory.mktemp("rule_breaking")
+    sim = build_care_sim()
+    block = rule_breaking_block(sim)
+    (out / STATE_FILE).write_text(json.dumps(_state_dict(sim)))
+    for name, node in sim.nodes.items():
+        node.ledger.append(block)
+        write_ledger(node.ledger, str(out / f"{name}.ledger"))
+    return out, block
+
+
+class TestTransactionRules:
+    def test_verify_names_height_position_and_rule(self, rule_breaking_out, capsys):
+        out, block = rule_breaking_out
+        assert main(["verify", str(out / "hospital.ledger")]) == 1
+        tx_id = block.transactions[0].tx_id.hex()
+        expected = f"height {block.height}: not_author: tx #0 ({tx_id}): drjones is not the grantor p001\n"
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "{out}/homecare.ledger"],
+            ["dashboard", "{out}", "drx", "sleepstudy"],
+            ["shred-check", "{out}", "hospital", "--patient", "p001"],
+        ],
+    )
+    def test_readers_exit_1_on_a_rule_violation(self, rule_breaking_out, capsys, argv):
+        out, block = rule_breaking_out
+        assert main([arg.format(out=out) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"height {block.height}: not_author: tx #0 (")
 
 
 class TestExitCodeTable:

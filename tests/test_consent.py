@@ -22,6 +22,7 @@ from careledger.ledger import (
     ConsentSigned,
     Kind,
     PrincipalId,
+    QuizAttemptRecorded,
     canonical_encode,
 )
 from careledger.simnet import SimConfig, Simulation, spawn_network
@@ -276,6 +277,59 @@ def _submit_consent(sim, author, consent):
 def _invitation(sim, participant: str, at: int):
     payload = ConsentInvited("sleepstudy", P(Kind.PARTICIPANT, participant))
     return signed(sim, P(Kind.RESEARCHER, "drx"), P(Kind.ORGANIZATION, "uni"), payload, at=at)
+
+
+class TestQuizAttemptRules:
+    """An attempt's ordinal, pass flag and mistake count must agree with the
+    fold and the study, so the chain can check what the host node graded."""
+
+    PART = P(Kind.PARTICIPANT, "part1")
+
+    def _attempts(self, sim):
+        ledger = sim.nodes["uni"].ledger
+        return [tx.payload for _, _, tx in ledger.transactions() if tx.action == "QuizAttemptRecorded"]
+
+    def test_second_attempt_refused_while_the_first_is_pending(self):
+        sim = consent_sim()
+        sim.submit_attempt("part1", "sleepstudy", [0, 0, 1])
+        with pytest.raises(ConsentError) as err:
+            sim.submit_attempt("part1", "sleepstudy", [1, 0, 1])
+        assert err.value.rule == "duplicate"
+        sim.settle()
+        sim.submit_attempt("part1", "sleepstudy", [1, 0, 1])
+        sim.settle()
+        assert [(a.ordinal, a.mistakes, a.passed) for a in self._attempts(sim)] == [(1, 1, False), (2, 0, True)]
+        assert sim.nodes["uni"].consent.lifecycles[("sleepstudy", "part1")].attempts == 2
+        assert sim.nodes["uni"].struggles[("sleepstudy", "part1")] == [[0], []]
+
+    @pytest.mark.parametrize(
+        "ordinal, mistakes, passed",
+        [
+            (7, 99, True),  # a self-certified pass
+            (2, 0, True),  # skips attempt 1
+            (1, 1, True),  # a pass with a mistake
+            (1, 0, False),  # a failure with none
+            (1, 4, False),  # more mistakes than the quiz's 3 questions
+        ],
+    )
+    def test_attempt_the_fold_contradicts_refused_as_malformed(self, ordinal, mistakes, passed):
+        sim = consent_sim()
+        forged = QuizAttemptRecorded("sleepstudy", self.PART, ordinal, mistakes, passed)
+        with pytest.raises(ConsentError) as err:
+            _submit_consent(sim, self.PART, forged)
+        assert err.value.rule == "malformed"
+        events = propose(sim, "uni", "biobank", [signed(sim, self.PART, P(Kind.ORGANIZATION, "uni"), forged)])
+        assert ("msg_delivered", {"to": "biobank", "type": "propose", "dropped": "malformed"}) in events
+        sim.settle()
+        assert self._attempts(sim) == []
+
+    def test_stale_ordinal_refused_as_duplicate(self):
+        sim = consent_sim()
+        sim.submit_attempt("part1", "sleepstudy", [0, 0, 1])
+        sim.settle()
+        with pytest.raises(ConsentError) as err:
+            _submit_consent(sim, self.PART, QuizAttemptRecorded("sleepstudy", self.PART, 1, 0, True))
+        assert err.value.rule == "duplicate"
 
 
 class TestOneWritePerKey:

@@ -7,11 +7,22 @@ import pytest
 from careledger import crypto
 from careledger.errors import PolicyError
 from careledger.exchange import submit_request
-from careledger.ledger import Category, GrantAccess, Kind, PrincipalId, RegisterPrincipal, quorum
-from careledger.policy import Reason, Verdict, evaluate_request, make_emergency_access
+from careledger.ledger import (
+    Category,
+    GrantAccess,
+    Kind,
+    LedgerState,
+    PrincipalId,
+    RegisterPrincipal,
+    Violation,
+    quorum,
+    validate_chain,
+)
+from careledger.policy import Reason, Verdict, evaluate_request, fold, make_emergency_access
+from careledger.scenario import run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
-from conftest import build_care_sim, propose, signed
+from conftest import FIXTURES, build_care_sim, propose, rule_breaking_block, signed
 from oracles import oracle_evaluate
 
 P = PrincipalId
@@ -572,3 +583,24 @@ def test_decision_is_pure_function_of_state():
     # The same committed prefix on the other node decides identically.
     other = evaluate_request(sim.nodes["homecare"].policy, *args)
     assert other == first
+
+
+class TestFold:
+    def test_a_sealed_rule_breaking_block_passes_the_chain_rules_not_fold(self):
+        sim = build_care_sim()
+        node, block = sim.nodes["hospital"], rule_breaking_block(sim)
+        chain = [*node.ledger.blocks, block]
+        assert validate_chain(LedgerState(chain)).ok
+        policy, consent, violation = fold(chain)
+        message = f"tx #0 ({block.transactions[0].tx_id.hex()}): drjones is not the grantor p001"
+        assert violation == Violation(block.height, "not_author", message)
+        assert (policy, consent) == (node.policy, node.consent)
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.scn")))
+    def test_fold_of_every_node_equals_its_folds(self, name):
+        sim, _ = run_scenario((FIXTURES / name).read_text(), SimConfig(seed=42), base_dir=FIXTURES)
+        for node in sim.nodes.values():
+            policy, consent, violation = fold(node.ledger.blocks)
+            assert violation is None, (name, node.org.id, violation)
+            assert (policy, consent) == (node.policy, node.consent), (name, node.org.id)
+            assert policy.principals.members == node.policy.principals.members

@@ -10,20 +10,21 @@ from careledger.exchange import submit_request
 from careledger.ledger import (
     Category,
     Kind,
+    LedgerState,
     PrincipalId,
     RegisterPrincipal,
+    Registry,
     Transaction,
-    build_block,
-    endorse_block,
     query_audit,
     quorum,
     sign_tx,
     validate_chain,
 )
+from careledger.policy import fold
 from careledger.scenario import parse_script, run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
-from conftest import build_care_sim, propose
+from conftest import build_care_sim, propose, rule_breaking_block, sealed_by_all
 
 P = PrincipalId
 
@@ -380,15 +381,6 @@ class TestCheckedReplay:
         assert _sync_drops(sim) == [{"to": "c", "from": "a", "type": "sync", "dropped": "endorsement"}]
 
 
-def _sealed_by_all(sim, tx, prev):
-    """A block of `tx` after `prev` that org a proposes and every org
-    endorses with the key it registered at genesis."""
-    a = P(Kind.ORGANIZATION, "a")
-    block = build_block([tx], prev, a, sim.clock, sim.nodes["b"].policy.principals)
-    keys = sorted((org, key) for org, key in sim.private_keys.items() if org.kind is Kind.ORGANIZATION)
-    return replace(block, endorsements=tuple((org, endorse_block(block, key)) for org, key in keys))
-
-
 class TestRegistrationFold:
     def test_node_fold_agrees_with_validate_chain_on_a_re_registration(self):
         sim = spawn_network(["a", "b", "c"], SimConfig(seed=1))
@@ -396,19 +388,58 @@ class TestRegistrationFold:
         first_key = node.policy.principals[a]
         _, new_key = crypto.generate_keypair(sim.rng)
         again = sign_tx(Transaction(sim.clock, a, a, RegisterPrincipal(a, new_key)), sim.private_keys[a])
-        block1 = _sealed_by_all(sim, again, node.ledger.tip())
+        block1 = sealed_by_all(sim, again, node.ledger.tip())
         p1_private, p1_public = crypto.generate_keypair(sim.rng)
         p1 = P(Kind.PATIENT, "p1")
         patient = sign_tx(Transaction(sim.clock, p1, a, RegisterPrincipal(p1, p1_public)), p1_private)
-        block2 = _sealed_by_all(sim, patient, block1)
+        block2 = sealed_by_all(sim, patient, block1)
+        # The chain rules accept the re-registration and keep the first key on
+        # file; the transaction rules refuse it.
+        chain = [node.ledger.blocks[0], block1, block2]
+        assert validate_chain(LedgerState(chain)).ok
+        registry = Registry()
+        for block in chain:
+            registry.fold(block)
+        assert registry[a] == first_key
+        assert [m.id for m in registry.members] == ["a", "b", "c"]
+        violation = fold(chain)[2]
+        assert (violation.height, violation.rule) == (1, "duplicate")
+        # So node b takes neither block: block2 no longer extends its chain.
         for block in (block1, block2):
             sim._schedule(0, "deliver", ("a", "b", {"type": "commit", "block": block}))
         sim.tick(0)
-        assert [e.detail for e in sim.trace if "dropped" in e.detail] == []
-        assert node.ledger.height == 2
-        assert validate_chain(node.ledger).ok
+        assert [e.detail for e in sim.trace if "dropped" in e.detail] == [
+            {"to": "b", "type": "commit", "dropped": "duplicate"}
+        ]
+        assert node.ledger.height == 0
         assert node.policy.principals[a] == first_key
         assert [m.id for m in node.policy.principals.members] == ["a", "b", "c"]
+
+
+class TestRuleCheckedCommits:
+    """A block that every member sealed is taken from a peer only when its
+    transactions pass the rules against the taking node's folds."""
+
+    def test_commit_of_a_rule_breaking_block_dropped_by_rule(self):
+        sim = build_care_sim()
+        node = sim.nodes["homecare"]
+        height = node.ledger.height
+        block = rule_breaking_block(sim)
+        sim._schedule(0, "deliver", ("hospital", "homecare", {"type": "commit", "block": block}))
+        sim.tick(0)
+        assert node.ledger.height == height
+        dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert dropped == [{"to": "homecare", "type": "commit", "dropped": "not_author"}]
+
+    def test_returning_node_stops_before_a_rule_breaking_block(self):
+        sim = build_care_sim()
+        node = sim.nodes["homecare"]
+        height = node.ledger.height
+        sim.inject_fault("homecare", "down")
+        sim.nodes["hospital"].ledger.append(rule_breaking_block(sim))
+        sim.inject_fault("homecare", "up")
+        assert node.ledger.height == height
+        assert _sync_drops(sim) == [{"to": "homecare", "from": "hospital", "type": "sync", "dropped": "not_author"}]
 
 
 class TestFork:
