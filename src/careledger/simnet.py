@@ -551,6 +551,8 @@ class Simulation:
             self._replay(node, self._highest_online())
         if block.height == node.ledger.height + 1:
             self._take(node, block, "commit")
+        else:
+            self._drop(node, "commit", "height")
 
     # -- transaction submission ---------------------------------------------
 
@@ -987,12 +989,16 @@ class Simulation:
         )
 
     def _on_match_response(self, node: Node, from_org: str, message: dict) -> None:
-        """Check each reply entry against the participant's commitments. An
-        entry counts only from the participant's host; one from any other
-        org is dropped, and the message traced as `not_author`."""
+        """Check each reply entry against the participant's commitments: a
+        participant matches when every queried descriptor is proven. Only an
+        entry that names every queried descriptor is hashed, and its check
+        stops at the first salt that fails. An entry counts only from the
+        participant's host; one from any other org is dropped, and the
+        message traced as `not_author`."""
         state = self.matches.get(message["match_id"])
         if not isinstance(state, MatchState):
             return
+        queried = set(state.descriptors)
         forged = False
         for pid, disclosures in message["replies"].items():
             host = state.outstanding.get(pid)
@@ -1001,13 +1007,8 @@ class Simulation:
                 continue
             del state.outstanding[pid]
             profile = node.consent.profiles.get(pid)
-            if profile is not None and disclosures is not None:
-                proven = {
-                    descriptor
-                    for descriptor, salt in disclosures.items()
-                    if consent_mod.verify_disclosure(profile, descriptor, salt)
-                }
-                if proven.issuperset(state.descriptors):
+            if profile is not None and disclosures is not None and disclosures.keys() >= queried:
+                if all(consent_mod.verify_disclosure(profile, d, disclosures[d]) for d in state.descriptors):
                     state.matched.add(pid)
         if not state.outstanding:
             self.matches[state.match_id] = tuple(sorted(state.matched))

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from careledger import consent as consent_mod
 from careledger import crypto
 from careledger.consent import (
     Question,
@@ -689,6 +690,65 @@ class TestMatchBatches:
         replies = [message["replies"] for _, message in delivered]
         assert {"H": None, "V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
         assert {"V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
+
+
+class TestResearcherCheck:
+    """The researcher's node proves each reply entry against the
+    participant's published commitments, whatever its host sends."""
+
+    @pytest.mark.parametrize(
+        "forge, matched",
+        [
+            (lambda s: {"biobank": s["biobank"], "registry": bytes(len(s["registry"]))}, False),
+            (lambda s: {"biobank": s["registry"], "registry": s["biobank"]}, False),
+            (lambda s: {"biobank": s["biobank"]}, False),
+            (lambda s: {"biobank": s["biobank"], "registry": s["registry"], "bogus": bytes(16)}, True),
+        ],
+        ids=["wrong_salt", "swapped_salts", "part_of_the_query", "extra_unqueried_descriptor"],
+    )
+    def test_a_dishonest_host_reply(self, forge, matched):
+        sim = profile_sim({"A": ({"biobank", "registry", "wearables"}, True)})
+        host = sim.host_org["A"]
+        salts = sim.nodes[host].profile_salts["A"]
+        m = sim.start_match("drx", ["biobank", "registry"])
+        # The crafted reply reaches the researcher's node before the host's own.
+        sim._ev_deliver(
+            host,
+            sim.host_org["drx"],
+            {"type": "match_response", "match_id": m, "replies": {"A": forge(salts)}},
+        )
+        sim.settle()
+        assert sim.match_result(m) == (["A"] if matched else [])
+
+    def test_only_entries_naming_the_whole_query_are_hashed(self, monkeypatch):
+        rng = random.Random(4)
+        universe = [f"src{i}" for i in range(5)]
+        profiles = {
+            f"p{i:02d}": (set(rng.sample(universe, rng.randint(1, 4))), rng.random() < 0.8) for i in range(12)
+        }
+        sim = profile_sim(profiles)
+        hashed = []
+        verify = consent_mod.verify_disclosure
+
+        def counted(profile, descriptor, salt):
+            hashed.append(profile.participant.id)
+            return verify(profile, descriptor, salt)
+
+        monkeypatch.setattr(consent_mod, "verify_disclosure", counted)
+        delivered = _capture_responses(sim)
+        for query in (["src0"], ["src0", "src1"], ["src1", "src2", "src3"], universe):
+            hashed.clear()
+            first = len(delivered)
+            m = sim.start_match("drx", query)
+            sim.settle()
+            assert set(sim.match_result(m)) == match_oracle(profiles, set(query))
+            entries = {pid: d for _, message in delivered[first:] for pid, d in message["replies"].items()}
+            assert set(hashed) <= entries.keys()
+            for pid, disclosures in entries.items():
+                if disclosures is not None and disclosures.keys() >= set(query):
+                    assert hashed.count(pid) <= len(query)
+                else:
+                    assert hashed.count(pid) == 0
 
 
 def test_every_signature_in_fixture_run_verifies(fixtures_dir):

@@ -409,7 +409,8 @@ class TestRegistrationFold:
             sim._schedule(0, "deliver", ("a", "b", {"type": "commit", "block": block}))
         sim.tick(0)
         assert [e.detail for e in sim.trace if "dropped" in e.detail] == [
-            {"to": "b", "type": "commit", "dropped": "duplicate"}
+            {"to": "b", "type": "commit", "dropped": "duplicate"},
+            {"to": "b", "type": "commit", "dropped": "height"},
         ]
         assert node.ledger.height == 0
         assert node.policy.principals[a] == first_key
