@@ -144,11 +144,6 @@ class ProfileRecord:
     discoverable: bool
     study_overrides: dict[str, bool]
 
-    def effective_discoverable(self, study_id: Optional[str]) -> bool:
-        if study_id is not None and study_id in self.study_overrides:
-            return self.study_overrides[study_id]
-        return self.discoverable
-
 
 @dataclass
 class ConsentState:
@@ -157,6 +152,21 @@ class ConsentState:
     studies: dict[str, StudyRecord] = field(default_factory=dict)
     lifecycles: dict[tuple[str, str], LifecycleRecord] = field(default_factory=dict)
     profiles: dict[str, ProfileRecord] = field(default_factory=dict)
+    # Derived from `profiles` by `apply`: the participant ids discoverable by
+    # default, and per (study, flag) the ids whose override for that study
+    # says `flag`.
+    _discoverable: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _overrides: dict[tuple[str, bool], set[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def visible(self, study_id: Optional[str]) -> set[str]:
+        """The participant ids whose profile is discoverable for `study_id`
+        (None: by default): a study override beats the default."""
+        if study_id is None:
+            return set(self._discoverable)
+        hidden = self._overrides.get((study_id, False), set())
+        return (self._discoverable - hidden) | self._overrides.get((study_id, True), set())
 
     def check(self, tx: Transaction, principals: dict[PrincipalId, bytes]) -> Optional[ConsentError]:
         """None when `tx` meets its payload type's rules against this state and
@@ -244,12 +254,22 @@ class ConsentState:
                 rec.state = "withdrawn"
         elif isinstance(p, ProfilePublished):
             # Republishing replaces the profile: layer policy must be adjustable.
-            self.profiles[p.participant.id] = ProfileRecord(
+            pid = p.participant.id
+            old = self.profiles.get(pid)
+            if old is not None:
+                self._discoverable.discard(pid)
+                for key in old.study_overrides.items():
+                    self._overrides[key].discard(pid)
+            record = self.profiles[pid] = ProfileRecord(
                 p.participant,
                 p.commitments,
                 p.discoverable,
                 {k: v for k, v in p.study_overrides},
             )
+            if record.discoverable:
+                self._discoverable.add(pid)
+            for key in record.study_overrides.items():
+                self._overrides.setdefault(key, set()).add(pid)
 
 
 _refuse = ConsentError.refuse
@@ -378,14 +398,13 @@ def consent_status(
         raise ConsentError(f"unknown study {study_id}")
     if researcher not in study.researchers:
         raise ConsentError(f"{researcher.id} is not a researcher of {study_id}")
+    shown = state.visible(study_id)
     rows = []
     for (sid, participant_id), rec in sorted(state.lifecycles.items()):
         if sid != study_id:
             continue
-        profile = state.profiles.get(participant_id)
-        shared = profile is not None and profile.effective_discoverable(study_id)
         struggles: Optional[tuple[int, ...]] = None
-        if shared:
+        if participant_id in shown:
             counts = [0] * study.question_count
             for wrong in struggle_detail.get(participant_id, []):
                 for idx in wrong:

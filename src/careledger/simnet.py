@@ -150,6 +150,8 @@ class Node:
     # Off-chain agent data for principals hosted at this node.
     struggles: dict[tuple[str, str], list[list[int]]] = field(default_factory=dict)
     profile_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
+    # The same salts by descriptor: descriptor -> participant id -> salt.
+    descriptor_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.store is None:
@@ -190,8 +192,9 @@ class MatchState:
     researcher: PrincipalId
     descriptors: tuple[str, ...]
     study: Optional[str]
-    # Participant id -> its host organization, the only org whose reply counts.
-    outstanding: dict[str, str] = field(default_factory=dict)
+    # Host organization -> the participant ids it has yet to answer for; a
+    # host's reply is the only one that counts for its participants.
+    outstanding: dict[str, set[str]] = field(default_factory=dict)
     matched: set[str] = field(default_factory=set)
 
 
@@ -213,6 +216,8 @@ class Simulation:
         self.nodes: dict[str, Node] = {}
         self.private_keys: dict[PrincipalId, bytes] = {}
         self.host_org: dict[str, str] = {}
+        # Host organization -> the participant ids it hosts.
+        self.hosted: dict[str, set[str]] = {}
         self.identity_rows: dict[str, VaultRow] = {}
         self.quizzes: dict[str, Quiz] = {}
         self.requests: dict[bytes, RequestState] = {}
@@ -303,10 +308,9 @@ class Simulation:
         if message["type"] == "match_challenge":
             detail["participants"] = len(message["participants"])
         elif message["type"] == "match_response":
-            replies = message["replies"].values()
-            detail["participants"] = len(message["replies"])
-            detail["disclosed"] = sorted({d for disclosures in replies if disclosures for d in disclosures})
-            detail["refused"] = sum(disclosures is None for disclosures in replies)
+            detail["participants"] = len(message["participants"])
+            detail["disclosed"] = sorted(d for d, column in message["salts"].items() if column)
+            detail["refused"] = len(message["refused"])
         return detail
 
     def _send(self, from_org: str, to_org: str, message: dict) -> None:
@@ -633,6 +637,8 @@ class Simulation:
         payload = policy_mod.make_registration(kind, person_id, public, identity_commitment=commitment)
         tx = self._register(via, via.org, payload, private)
         self.host_org[person_id] = via.org.id
+        if kind is Kind.PARTICIPANT:
+            self.hosted.setdefault(via.org.id, set()).add(person_id)
         if row is not None:
             self._identity_seq += 1
             self.identity_rows[person_id] = row
@@ -920,7 +926,11 @@ class Simulation:
             participant, descriptors, salts, discoverable, study_overrides
         )
         tx = self._sign_and_submit(via, participant, via.org, payload)
+        for d in via.profile_salts.get(participant_id, ()):
+            del via.descriptor_salts[d][participant_id]
         via.profile_salts[participant_id] = salts
+        for d, salt in salts.items():
+            via.descriptor_salts.setdefault(d, {})[participant_id] = salt
         return tx
 
     def consent_dashboard(self, researcher_id: str, study_id: str):
@@ -944,24 +954,26 @@ class Simulation:
         via = self._host_node(researcher)
         if researcher not in via.policy.principals:
             raise ConsentError(f"unknown researcher {researcher_id}")
+        if not via.online:
+            raise SimError(f"node {via.org.id} is offline; cannot start a match")
         self._match_ids += 1
         match_id = self._match_ids
         state = MatchState(match_id, researcher, tuple(descriptors), study)
-        batches: dict[str, list[str]] = {}
-        for pid in sorted(via.consent.profiles):
-            if via.consent.profiles[pid].effective_discoverable(study):
-                host = state.outstanding[pid] = self.host_org[pid]
-                batches.setdefault(host, []).append(pid)
-        self.matches[match_id] = state if batches else ()
-        # One challenge per host organization, naming its participants.
-        for host in sorted(batches):
+        visible = via.consent.visible(study)
+        for host, ids in self.hosted.items():
+            if named := ids & visible:
+                state.outstanding[host] = named
+        self.matches[match_id] = state if state.outstanding else ()
+        # One challenge per host organization, naming its participants (a
+        # copy: the pending set shrinks as replies arrive).
+        for host in sorted(state.outstanding):
             self._send(
                 via.org.id,
                 host,
                 {
                     "type": "match_challenge",
                     "match_id": match_id,
-                    "participants": tuple(batches[host]),
+                    "participants": frozenset(state.outstanding[host]),
                     "descriptors": state.descriptors,
                     "study": study,
                     "reply_to": via.org.id,
@@ -970,46 +982,56 @@ class Simulation:
         return match_id
 
     def _on_match_challenge(self, node: Node, from_org: str, message: dict) -> None:
-        """Answer for each named participant with its disclosed salts, or
-        None (a refusal) when `node` does not see it discoverable."""
-        replies: dict[str, Optional[dict[str, bytes]]] = {}
-        for pid in message["participants"]:
-            profile = node.consent.profiles.get(pid)
-            if profile is None or not profile.effective_discoverable(message["study"]):
-                replies[pid] = None
-                continue
-            # Selective disclosure: only salts for queried descriptors the
-            # participant actually holds ever cross the wire.
-            salts = node.profile_salts.get(pid, {})
-            replies[pid] = {d: salts[d] for d in message["descriptors"] if d in salts}
+        """Answer with the named participants `node` refuses (it does not see
+        them discoverable) and, per queried descriptor, the salts of the
+        others that hold it. Selective disclosure: only salts of queried
+        descriptors ever cross the wire."""
+        named = frozenset(message["participants"])
+        ok = node.consent.visible(message["study"]) & named
+        columns = {}
+        for d in message["descriptors"]:
+            holders = node.descriptor_salts.get(d, {})
+            columns[d] = {pid: holders[pid] for pid in ok & holders.keys()}
         self._send(
             node.org.id,
             message["reply_to"],
-            {"type": "match_response", "match_id": message["match_id"], "replies": replies},
+            {
+                "type": "match_response",
+                "match_id": message["match_id"],
+                "participants": named,
+                "refused": named - ok,
+                "salts": columns,
+            },
         )
 
     def _on_match_response(self, node: Node, from_org: str, message: dict) -> None:
-        """Check each reply entry against the participant's commitments: a
-        participant matches when every queried descriptor is proven. Only an
-        entry that names every queried descriptor is hashed, and its check
-        stops at the first salt that fails. An entry counts only from the
-        participant's host; one from any other org is dropped, and the
-        message traced as `not_author`."""
+        """Check a host's reply against the participants' commitments: a
+        participant matches when every queried descriptor is proven. Only a
+        participant that is not refused and has a salt in every queried
+        column is hashed, and its check stops at the first salt that fails.
+        A reply counts only for participants still pending at its sender; one
+        naming a participant pending at another host is traced as
+        `not_author`, and that participant stays pending."""
         state = self.matches.get(message["match_id"])
         if not isinstance(state, MatchState):
             return
-        queried = set(state.descriptors)
-        forged = False
-        for pid, disclosures in message["replies"].items():
-            host = state.outstanding.get(pid)
-            if host != from_org:
-                forged |= host is not None
-                continue
-            del state.outstanding[pid]
+        named = frozenset(message["participants"])
+        forged = any(not ids.isdisjoint(named) for host, ids in state.outstanding.items() if host != from_org)
+        pending = state.outstanding.get(from_org, set())
+        mine = pending & named
+        pending -= mine
+        if not pending:
+            state.outstanding.pop(from_org, None)
+        columns = message["salts"]
+        candidates = mine.difference(message["refused"])
+        for d in state.descriptors:
+            candidates &= columns.get(d, {}).keys()
+        for pid in candidates:
             profile = node.consent.profiles.get(pid)
-            if profile is not None and disclosures is not None and disclosures.keys() >= queried:
-                if all(consent_mod.verify_disclosure(profile, d, disclosures[d]) for d in state.descriptors):
-                    state.matched.add(pid)
+            if profile is not None and all(
+                consent_mod.verify_disclosure(profile, d, columns[d][pid]) for d in state.descriptors
+            ):
+                state.matched.add(pid)
         if not state.outstanding:
             self.matches[state.match_id] = tuple(sorted(state.matched))
         if forged:

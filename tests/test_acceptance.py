@@ -599,10 +599,18 @@ def test_acceptance_9_match_correctness():
         sim.settle()
         sim.publish_profile(pid, sorted(descriptors), discoverable)
         sim.settle()
-    queries = 0
+    delivered = []
+    handler = sim._on_match_response
+
+    def capture(node, from_org, message):
+        delivered.append((from_org, message))
+        handler(node, from_org, message)
+
+    sim._on_match_response = capture
+    queries = salts = 0
     for _ in range(12):
         query = set(rng.sample(universe, rng.randint(1, 8)))
-        trace_start = len(sim.trace)
+        trace_start, first = len(sim.trace), len(delivered)
         match_id = sim.start_match("drx", sorted(query))
         sim.settle()
         got = set(sim.match_result(match_id))
@@ -612,5 +620,20 @@ def test_acceptance_9_match_correctness():
         for event in sim.trace[trace_start:]:
             if event.detail.get("type") == "match_response":
                 assert set(event.detail["disclosed"]).issubset(query), event
+        # Every salt that does is the host's salt of a queried descriptor
+        # of a participant it named and did not refuse.
+        assert delivered[first:]
+        for from_org, message in delivered[first:]:
+            host_salts = sim.nodes[from_org].profile_salts
+            disclosed = message["participants"] - message["refused"]
+            for d, column in message["salts"].items():
+                assert d in query, (from_org, d)
+                for pid, salt in column.items():
+                    assert pid in disclosed and salt == host_salts[pid][d], (from_org, d, pid)
+                    salts += 1
         queries += 1
-    _passed(9, f"{queries} queries over 20 participants x 8 descriptors match the subset oracle; no unqueried salt disclosed")
+    _passed(
+        9,
+        f"{queries} queries over 20 participants x 8 descriptors match the subset oracle; "
+        f"each of {salts} disclosed salts is a queried salt of a named, unrefused participant",
+    )

@@ -2,12 +2,15 @@
 
 import random
 from dataclasses import replace
+from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from careledger import consent as consent_mod
 from careledger import crypto
 from careledger.consent import (
+    ConsentState,
     Question,
     Quiz,
     consent_message,
@@ -24,6 +27,7 @@ from careledger.ledger import (
     Kind,
     PrincipalId,
     QuizAttemptRecorded,
+    Transaction,
     canonical_encode,
 )
 from careledger.simnet import SimConfig, Simulation, spawn_network
@@ -465,6 +469,35 @@ def profile_sim(profiles: dict[str, tuple[set, bool]], seed=9) -> Simulation:
     return sim
 
 
+STUDIES = ("s1", "s2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ABC"), st.booleans(), st.dictionaries(st.sampled_from(STUDIES), st.booleans())),
+        max_size=20,
+    )
+)
+# A republish that drops an override, and one that flips the default.
+@example([("A", True, {"s1": False}), ("A", True, {})])
+@example([("A", False, {"s1": True}), ("A", True, {"s1": True}), ("A", False, {})])
+def test_visible_equals_a_per_profile_model(publishes):
+    """`ConsentState.visible` after any publish/republish sequence: a study
+    override beats the profile's default, and the latest profile counts."""
+    state = ConsentState()
+    model: dict[str, tuple[bool, dict[str, bool]]] = {}
+    for pid, discoverable, overrides in publishes:
+        participant = P(Kind.PARTICIPANT, pid)
+        payload = consent_mod.make_profile(participant, ["x"], {"x": bytes(16)}, discoverable, overrides)
+        state.apply(Transaction(0, participant, P(Kind.ORGANIZATION, "uni"), payload), 1, 0)
+        model[pid] = (discoverable, overrides)
+        assert state.visible(None) == {p for p, (default, _) in model.items() if default}
+        for study in (*STUDIES, "unknown"):
+            want = {p for p, (default, by_study) in model.items() if by_study.get(study, default)}
+            assert state.visible(study) == want
+
+
 class TestProfilesAndMatching:
     def test_profile_tx_carries_commitments_only(self):
         sim = profile_sim({"A": ({"biobank:lifelines", "registry:cardiac"}, True)})
@@ -552,7 +585,7 @@ class TestProfilesAndMatching:
         assert sim.host_org["A"] == "uni"
         m = sim.start_match("drx", ["biobank"])
         # biobank does not host A; its refusal must not count, nor drop uni's reply.
-        sim._ev_deliver("biobank", "uni", {"type": "match_response", "match_id": m, "replies": {"A": None}})
+        sim._ev_deliver("biobank", "uni", _response(m, {"A": None}))
         sim.settle()
         assert sim.match_result(m) == ["A"]
         dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
@@ -569,7 +602,7 @@ class TestProfilesAndMatching:
         assert all(type(sim.matches[m]) is tuple for m in ids)
         # A late reply to a finished match changes nothing and is not traced.
         events = len(sim.trace)
-        sim._on_match_response(sim.nodes["uni"], "uni", {"match_id": ids[0], "replies": {"A": None, "B": None}})
+        sim._on_match_response(sim.nodes["uni"], "uni", _response(ids[0], {"A": None, "B": None}))
         assert len(sim.trace) == events
         assert sim.match_result(ids[0]) == ["A", "B"]
 
@@ -617,6 +650,32 @@ def _capture_responses(sim: Simulation) -> list[tuple[str, dict]]:
     return delivered
 
 
+def _response(match_id: int, replies: dict[str, Optional[dict[str, bytes]]]) -> dict:
+    """A match_response that answers `replies`: participant id -> its salts
+    by descriptor, or None for a refusal."""
+    columns: dict[str, dict[str, bytes]] = {}
+    for pid, salts in replies.items():
+        for d, salt in (salts or {}).items():
+            columns.setdefault(d, {})[pid] = salt
+    refused = {pid for pid, salts in replies.items() if salts is None}
+    return {
+        "type": "match_response",
+        "match_id": match_id,
+        "participants": set(replies),
+        "refused": refused,
+        "salts": columns,
+    }
+
+
+def _entries(message: dict) -> dict[str, Optional[dict[str, bytes]]]:
+    """A match_response per named participant: None when refused, else its
+    salts by descriptor."""
+    return {
+        pid: None if pid in message["refused"] else {d: col[pid] for d, col in message["salts"].items() if pid in col}
+        for pid in message["participants"]
+    }
+
+
 class TestMatchBatches:
     def test_a_down_host_holds_the_match_open(self):
         profiles = {"A": ({"biobank", "registry"}, True), "B": ({"biobank"}, True), "C": ({"biobank"}, False)}
@@ -629,6 +688,17 @@ class TestMatchBatches:
         sim.inject_fault("uni", "up")
         sim.settle()
         assert set(sim.match_result(m)) == match_oracle(profiles, {"biobank"}) == {"A", "B"}
+
+    def test_a_down_researcher_node_cannot_start_a_match(self):
+        sim = hosted_sim({"biobank": {"A": ({"x"}, True)}}, researcher_at="uni")
+        sim.inject_fault("uni", "down")
+        sim.settle()
+        start = len(sim.trace)
+        with pytest.raises(SimError, match="offline"):
+            sim.start_match("drx", ["x"])
+        sim.settle()
+        assert not any(e.detail.get("type", "").startswith("match_") for e in sim.trace[start:])
+        assert sim.matches == {}
 
     @pytest.mark.parametrize("per_host", [1, 5])
     def test_one_challenge_and_one_response_per_host(self, per_host):
@@ -657,8 +727,9 @@ class TestMatchBatches:
             responses = sorted(d["from"] for d in sent if d["type"] == "match_response")
             assert challenges == responses == ["biobank", "uni"]
             for from_org, message in delivered[first:]:
-                assert set(message["replies"]) == {pid for pid in hosts[from_org] if profiles[pid][1]}
-                for pid, disclosures in message["replies"].items():
+                entries = _entries(message)
+                assert set(entries) == {pid for pid in hosts[from_org] if profiles[pid][1]}
+                for pid, disclosures in entries.items():
                     assert disclosures is not None
                     assert set(disclosures).issubset(query)
                     hidden = {salt for d, salt in salts[pid].items() if d not in query}
@@ -671,6 +742,7 @@ class TestMatchBatches:
         sim.publish_profile("H", ["biobank"], True, study_overrides={"s1": False})
         sim.settle()
         delivered = _capture_responses(sim)
+        start = len(sim.trace)
         m = sim.start_match("drx", ["biobank"], study="s1")
         # A challenge naming H as well: biobank sees H hidden from s1.
         sim._ev_deliver(
@@ -687,9 +759,16 @@ class TestMatchBatches:
         )
         sim.settle()
         assert sim.match_result(m) == ["V"]
-        replies = [message["replies"] for _, message in delivered]
-        assert {"H": None, "V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
-        assert {"V": {"biobank": sim.nodes["biobank"].profile_salts["V"]["biobank"]}} in replies
+        # The crafted challenge's reply names both and refuses H; the
+        # researcher's own challenge named only V.
+        response = {"from": "biobank", "to": "uni", "type": "match_response", "disclosed": ["biobank"]}
+        both = {**response, "participants": 2, "refused": 1}
+        only_v = {**response, "participants": 1, "refused": 0}
+        traced = [(e.kind, e.detail) for e in sim.trace[start:] if e.detail.get("type") == "match_response"]
+        assert traced == [("msg_sent", both), ("msg_delivered", both), ("msg_sent", only_v), ("msg_delivered", only_v)]
+        salt = sim.nodes["biobank"].profile_salts["V"]["biobank"]
+        replies = [(message["participants"], message["refused"], message["salts"]) for _, message in delivered]
+        assert replies == [({"H", "V"}, {"H"}, {"biobank": {"V": salt}}), ({"V"}, set(), {"biobank": {"V": salt}})]
 
 
 class TestResearcherCheck:
@@ -712,11 +791,7 @@ class TestResearcherCheck:
         salts = sim.nodes[host].profile_salts["A"]
         m = sim.start_match("drx", ["biobank", "registry"])
         # The crafted reply reaches the researcher's node before the host's own.
-        sim._ev_deliver(
-            host,
-            sim.host_org["drx"],
-            {"type": "match_response", "match_id": m, "replies": {"A": forge(salts)}},
-        )
+        sim._ev_deliver(host, sim.host_org["drx"], _response(m, {"A": forge(salts)}))
         sim.settle()
         assert sim.match_result(m) == (["A"] if matched else [])
 
@@ -742,7 +817,7 @@ class TestResearcherCheck:
             m = sim.start_match("drx", query)
             sim.settle()
             assert set(sim.match_result(m)) == match_oracle(profiles, set(query))
-            entries = {pid: d for _, message in delivered[first:] for pid, d in message["replies"].items()}
+            entries = {pid: d for _, message in delivered[first:] for pid, d in _entries(message).items()}
             assert set(hashed) <= entries.keys()
             for pid, disclosures in entries.items():
                 if disclosures is not None and disclosures.keys() >= set(query):
