@@ -95,14 +95,14 @@ def _state_dict(sim: Simulation) -> dict:
                 }
             )
     live_ids = {s["session_id"] for s in sessions}
-    for state in sim.requests.values():
+    for request_tx, state in sim.requests.items():
         if state.session_id and state.session_id not in live_ids:
             sessions.append(
                 {
-                    "org": state.session_org,
+                    "org": state.request.requester_org.id,
                     "session_id": state.session_id,
-                    "requester": state.requester.id,
-                    "request_tx": state.request_tx.hex(),
+                    "requester": state.request.requester.id,
+                    "request_tx": request_tx.hex(),
                     "opened_at": 0,
                     "ttl": 0,
                     "expired": True,

@@ -26,6 +26,7 @@ from .ledger import (
     ProfilePublished,
     QuizAttemptRecorded,
     RegisterStudy,
+    Registry,
     Transaction,
     ZERO_HASH,
 )
@@ -120,7 +121,6 @@ def parse_quiz(lines: Iterable[str]) -> Quiz:
 
 @dataclass
 class LifecycleRecord:
-    study_id: str
     participant: PrincipalId
     state: str = "invited"
     attempts: int = 0
@@ -130,28 +130,14 @@ class LifecycleRecord:
 
 
 @dataclass
-class StudyRecord:
-    study_id: str
-    quiz_hash: bytes
-    researchers: tuple[PrincipalId, ...]
-    question_count: int
-
-
-@dataclass
-class ProfileRecord:
-    participant: PrincipalId
-    commitments: frozenset[bytes]
-    discoverable: bool
-    study_overrides: dict[str, bool]
-
-
-@dataclass
 class ConsentState:
-    """Fold of study, invitation, attempt, signature, withdrawal, and profile txs."""
+    """Fold of study, invitation, attempt, signature, withdrawal, and profile
+    txs. `studies` and `profiles` hold the committed `RegisterStudy` and
+    `ProfilePublished` payloads themselves."""
 
-    studies: dict[str, StudyRecord] = field(default_factory=dict)
+    studies: dict[str, RegisterStudy] = field(default_factory=dict)
     lifecycles: dict[tuple[str, str], LifecycleRecord] = field(default_factory=dict)
-    profiles: dict[str, ProfileRecord] = field(default_factory=dict)
+    profiles: dict[str, ProfilePublished] = field(default_factory=dict)
     # Derived from `profiles` by `apply`: the participant ids discoverable by
     # default, and per (study, flag) the ids whose override for that study
     # says `flag`.
@@ -168,7 +154,7 @@ class ConsentState:
         hidden = self._overrides.get((study_id, False), set())
         return (self._discoverable - hidden) | self._overrides.get((study_id, True), set())
 
-    def check(self, tx: Transaction, principals: dict[PrincipalId, bytes]) -> Optional[ConsentError]:
+    def check(self, tx: Transaction, principals: Registry) -> Optional[ConsentError]:
         """None when `tx` meets its payload type's rules against this state and
         the registered `principals`, else the refusal naming the broken rule;
         other folds' types pass."""
@@ -178,17 +164,16 @@ class ConsentState:
                 return _refuse("not_author", f"{tx.author.id} is not a researcher of {p.study_id}")
             if p.study_id in self.studies:
                 return _refuse("duplicate", f"duplicate study {p.study_id}")
-            for r in p.researchers:
-                if r not in principals or r.kind is not Kind.RESEARCHER:
-                    return _refuse("unknown", f"unknown researcher {r.id}")
+            if unknown := principals.unknown(*((r, Kind.RESEARCHER) for r in p.researchers)):
+                return _refuse("unknown", unknown)
         elif isinstance(p, ConsentInvited):
             study = self.studies.get(p.study_id)
             if study is None:
                 return _refuse("unknown", f"unknown study {p.study_id}")
             if tx.author not in study.researchers:
                 return _refuse("not_author", f"{tx.author.id} is not a researcher of {p.study_id}")
-            if p.participant not in principals or p.participant.kind is not Kind.PARTICIPANT:
-                return _refuse("unknown", f"unknown participant {p.participant.id}")
+            if unknown := principals.unknown((p.participant, Kind.PARTICIPANT)):
+                return _refuse("unknown", unknown)
             if (p.study_id, p.participant.id) in self.lifecycles:
                 return _refuse("duplicate", f"{p.participant.id} already invited to {p.study_id}")
         elif isinstance(p, (QuizAttemptRecorded, ConsentSigned, ConsentWithdrawn)):
@@ -222,21 +207,19 @@ class ConsentState:
         elif isinstance(p, ProfilePublished):
             if tx.author != p.participant:
                 return _refuse("not_author", f"{tx.author.id} cannot publish for {p.participant.id}")
-            if p.participant not in principals or p.participant.kind is not Kind.PARTICIPANT:
-                return _refuse("unknown", f"unknown participant {p.participant.id}")
+            if unknown := principals.unknown((p.participant, Kind.PARTICIPANT)):
+                return _refuse("unknown", unknown)
             if not p.commitments:
                 return _refuse("malformed", "a profile needs at least one source descriptor")
         return None
 
-    def apply(self, tx: Transaction, height: int, position: int) -> None:
+    def apply(self, tx: Transaction) -> None:
         """Fold a transaction that passed `check` against this state."""
         p = tx.payload
         if isinstance(p, RegisterStudy):
-            self.studies[p.study_id] = StudyRecord(
-                p.study_id, p.quiz_hash, p.researchers, p.question_count
-            )
+            self.studies[p.study_id] = p
         elif isinstance(p, ConsentInvited):
-            self.lifecycles[(p.study_id, p.participant.id)] = LifecycleRecord(p.study_id, p.participant)
+            self.lifecycles[(p.study_id, p.participant.id)] = LifecycleRecord(p.participant)
         elif isinstance(p, (QuizAttemptRecorded, ConsentSigned, ConsentWithdrawn)):
             rec = self.lifecycles[(p.study_id, p.participant.id)]
             if isinstance(p, QuizAttemptRecorded):
@@ -258,17 +241,12 @@ class ConsentState:
             old = self.profiles.get(pid)
             if old is not None:
                 self._discoverable.discard(pid)
-                for key in old.study_overrides.items():
+                for key in old.study_overrides:
                     self._overrides[key].discard(pid)
-            record = self.profiles[pid] = ProfileRecord(
-                p.participant,
-                p.commitments,
-                p.discoverable,
-                {k: v for k, v in p.study_overrides},
-            )
-            if record.discoverable:
+            self.profiles[pid] = p
+            if p.discoverable:
                 self._discoverable.add(pid)
-            for key in record.study_overrides.items():
+            for key in p.study_overrides:
                 self._overrides.setdefault(key, set()).add(pid)
 
 
@@ -443,6 +421,6 @@ def dashboard_rows(rows: Iterable[DashboardRow]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def verify_disclosure(profile: ProfileRecord, descriptor: str, salt: bytes) -> bool:
+def verify_disclosure(profile: ProfilePublished, descriptor: str, salt: bytes) -> bool:
     """A revealed salt proves membership of exactly the queried descriptor."""
     return crypto.commitment(salt, descriptor) in profile.commitments

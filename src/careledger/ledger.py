@@ -652,6 +652,14 @@ class Registry(dict):
             self.members.append(p.subject)
         return True
 
+    def unknown(self, *named: tuple[PrincipalId, Kind]) -> Optional[str]:
+        """The refusal message for the first of the `(principal, kind)` pairs
+        whose principal is not registered as that kind; None if there is none."""
+        for principal, kind in named:
+            if principal.kind is not kind or principal not in self:
+                return f"unknown {kind.value} {principal.id}"
+        return None
+
     def fold(self, block: Block) -> None:
         """Register each of `block`'s registrations, in block order."""
         for tx in block.transactions:

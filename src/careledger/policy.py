@@ -69,45 +69,27 @@ class Decision:
         return self.verdict in (Verdict.ALLOW, Verdict.ALLOW_EMERGENCY)
 
 
-@dataclass(frozen=True)
-class TreatmentPlan:
-    plan_id: str
-    patient: PrincipalId
-    member_orgs: frozenset[PrincipalId]
-    practitioners: frozenset[tuple[PrincipalId, PrincipalId]]
-
-
-@dataclass
-class GrantRecord:
-    grant_id: str
-    plan_id: str
-    grantor: PrincipalId
-    grantee: PrincipalId
-    scope: frozenset[Category]
-    valid_from: int
-    valid_until: int
-    order: tuple[int, int]  # (height, position) of the GrantAccess tx
-    revoked_at: Optional[int] = None
-
-
 @dataclass
 class PolicyState:
     """Fold of registration, plan, grant, and revocation transactions.
 
-    `patient_plans` and `pair_grants` index `plans` and `grants` by patient
-    and by (grantor, grantee), in commit order. They hold the same objects,
-    so a revocation shows in both, and a decision reads only the entries of
-    the principals it names, whatever the size of the state.
+    `plans` and `grants` hold the committed `CreatePlan` and `GrantAccess`
+    payloads themselves, and revocations live in `revoked`: grant id -> the
+    revoking transaction's timestamp. `patient_plans` and `pair_grants` index
+    the same payloads by patient and by (grantor, grantee), in commit order,
+    so a decision reads only the entries of the principals it names, whatever
+    the size of the state.
     """
 
     principals: Registry = field(default_factory=Registry)
     practitioner_orgs: dict[str, PrincipalId] = field(default_factory=dict)
-    plans: dict[str, TreatmentPlan] = field(default_factory=dict)
-    grants: dict[str, GrantRecord] = field(default_factory=dict)
-    patient_plans: dict[PrincipalId, list[TreatmentPlan]] = field(
+    plans: dict[str, CreatePlan] = field(default_factory=dict)
+    grants: dict[str, GrantAccess] = field(default_factory=dict)
+    revoked: dict[str, int] = field(default_factory=dict)
+    patient_plans: dict[PrincipalId, list[CreatePlan]] = field(
         default_factory=dict, init=False, repr=False
     )
-    pair_grants: dict[tuple[PrincipalId, PrincipalId], list[GrantRecord]] = field(
+    pair_grants: dict[tuple[PrincipalId, PrincipalId], list[GrantAccess]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -122,8 +104,8 @@ class PolicyState:
                 return _refuse("duplicate", f"duplicate id: {p.subject} is already registered")
             if p.subject.kind is Kind.PRACTITIONER and p.org_binding is None:
                 return _refuse("malformed", "practitioner registration requires an organization")
-            if p.org_binding is not None:
-                return self._unknown((p.org_binding, Kind.ORGANIZATION))
+            if p.org_binding is not None and (unknown := self.principals.unknown((p.org_binding, Kind.ORGANIZATION))):
+                return _refuse("unknown", unknown)
         elif isinstance(p, CreatePlan):
             if tx.author != p.patient:
                 return _refuse("not_author", f"{tx.author} cannot create a plan for {p.patient}")
@@ -131,13 +113,12 @@ class PolicyState:
                 return _refuse("duplicate", f"duplicate plan {p.plan_id}")
             if not p.member_orgs:
                 return _refuse("malformed", "a plan needs at least one member organization")
-            unknown = self._unknown(
+            if unknown := self.principals.unknown(
                 (p.patient, Kind.PATIENT),
                 *((org, Kind.ORGANIZATION) for org in p.member_orgs),
                 *((prac, Kind.PRACTITIONER) for prac, _ in p.practitioners),
-            )
-            if unknown is not None:
-                return unknown
+            ):
+                return _refuse("unknown", unknown)
             for prac, org in p.practitioners:
                 if org not in p.member_orgs or self.practitioner_orgs.get(prac.id) != org:
                     return _refuse("malformed", f"{prac.id} is not a practitioner of member organization {org.id}")
@@ -164,68 +145,50 @@ class PolicyState:
             grant = self.grants.get(p.grant_id)
             if grant is None:
                 return _refuse("unknown", f"unknown grant {p.grant_id}")
-            if grant.revoked_at is not None:
+            if p.grant_id in self.revoked:
                 return _refuse("duplicate", f"grant {p.grant_id} already revoked")
             if grant.grantor != p.patient:
                 return _refuse("not_author", f"{p.patient.id} did not issue grant {p.grant_id}")
         elif isinstance(p, DataRequestRecorded):
             if tx.author != p.requester or tx.author_org != p.requester_org:
                 return _refuse("not_author", f"{tx.author.id} cannot request for {p.requester.id}")
-            return self._unknown(
+            if unknown := self.principals.unknown(
                 (p.requester, Kind.PRACTITIONER),
                 (p.requester_org, Kind.ORGANIZATION),
                 (p.sender_org, Kind.ORGANIZATION),
                 (p.patient, Kind.PATIENT),
-            )
+            ):
+                return _refuse("unknown", unknown)
         elif isinstance(p, EmergencyAccess):
             return self._check_emergency(p)
         return None
 
-    def _unknown(self, *named: tuple[PrincipalId, Kind]) -> Optional[PolicyError]:
-        """The refusal of the first principal not registered as its kind."""
-        for principal, kind in named:
-            if principal.kind is not kind or principal not in self.principals:
-                return _refuse("unknown", f"unknown {kind.value} {principal.id}")
-        return None
-
     def _check_emergency(self, p: EmergencyAccess) -> Optional[PolicyError]:
         # The payload names no authoring organization, so no author rule.
-        unknown = self._unknown((p.requester, Kind.PRACTITIONER), (p.patient, Kind.PATIENT))
-        if unknown is not None:
-            return unknown
+        if unknown := self.principals.unknown((p.requester, Kind.PRACTITIONER), (p.patient, Kind.PATIENT)):
+            return _refuse("unknown", unknown)
         if not _practitioner_in_any_plan(self, p.requester, p.patient):
             return _refuse("not_author", f"{p.requester.id} is not a practitioner in any plan of {p.patient.id}")
         return None
 
-    def apply(self, tx: Transaction, height: int, position: int) -> None:
+    def apply(self, tx: Transaction) -> None:
         """Fold a transaction that passed `check` against this state."""
         p = tx.payload
         if isinstance(p, RegisterPrincipal):
             if self.principals.register(p) and p.subject.kind is Kind.PRACTITIONER:
                 self.practitioner_orgs[p.subject.id] = p.org_binding
         elif isinstance(p, CreatePlan):
-            plan = TreatmentPlan(p.plan_id, p.patient, p.member_orgs, p.practitioners)
-            self.plans[p.plan_id] = plan
-            self.patient_plans.setdefault(p.patient, []).append(plan)
+            self.plans[p.plan_id] = p
+            self.patient_plans.setdefault(p.patient, []).append(p)
         elif isinstance(p, GrantAccess):
-            grant = GrantRecord(
-                p.grant_id,
-                p.plan_id,
-                p.grantor,
-                p.grantee,
-                p.scope,
-                p.valid_from,
-                p.valid_until,
-                order=(height, position),
-            )
-            self.grants[p.grant_id] = grant
-            self.pair_grants.setdefault((p.grantor, p.grantee), []).append(grant)
+            self.grants[p.grant_id] = p
+            self.pair_grants.setdefault((p.grantor, p.grantee), []).append(p)
         elif isinstance(p, RevokeAccess):
-            self.grants[p.grant_id].revoked_at = tx.timestamp
+            self.revoked[p.grant_id] = tx.timestamp
 
     # -- lookups -----------------------------------------------------------
 
-    def plans_of(self, patient: PrincipalId) -> list[TreatmentPlan]:
+    def plans_of(self, patient: PrincipalId) -> list[CreatePlan]:
         """The patient's plans in commit order (the index's own list)."""
         return self.patient_plans.get(patient, [])
 
@@ -255,9 +218,9 @@ def check_rules(policy: PolicyState, consent: ConsentState, block: Block) -> Opt
 
 def apply_block(policy: PolicyState, consent: ConsentState, block: Block) -> None:
     """Fold the transactions of `block`, which passed `check_rules`."""
-    for pos, tx in enumerate(block.transactions):
-        policy.apply(tx, block.height, pos)
-        consent.apply(tx, block.height, pos)
+    for tx in block.transactions:
+        policy.apply(tx)
+        consent.apply(tx)
 
 
 def fold(blocks: Iterable[Block]) -> tuple[PolicyState, ConsentState, Optional[Violation]]:
@@ -344,13 +307,12 @@ def evaluate_request(
     allow_emergency, provided the requester appears in at least one plan of
     the patient; a valid grant still wins as a plain allow.
     """
-    unknown = state._unknown(
+    if state.principals.unknown(
         (requester, Kind.PRACTITIONER),
         (requester_org, Kind.ORGANIZATION),
         (sender_org, Kind.ORGANIZATION),
         (patient, Kind.PATIENT),
-    )
-    if unknown is not None:
+    ):
         return Decision(Verdict.DENY, Reason.UNKNOWN_PRINCIPAL)
 
     normal = _evaluate_grants(
@@ -395,12 +357,12 @@ def _evaluate_grants(
     if not in_window:
         return Decision(Verdict.DENY, Reason.EXPIRED)
 
-    live = [g for g in in_window if g.revoked_at is None or at < g.revoked_at]
+    live = [g for g in in_window if at < state.revoked.get(g.grant_id, g.valid_until)]
     if not live:
         return Decision(Verdict.DENY, Reason.REVOKED)
 
-    winner = min(live, key=lambda g: g.order)
-    return Decision(Verdict.ALLOW, Reason.VALID_GRANT, winner.grant_id)
+    # `pair_grants` is in commit order, so the first committed live grant wins.
+    return Decision(Verdict.ALLOW, Reason.VALID_GRANT, live[0].grant_id)
 
 
 def make_emergency_access(

@@ -146,7 +146,10 @@ class Node:
     # Pending transactions by id, in arrival order.
     mempool: dict[bytes, Transaction] = field(default_factory=dict)
     parked: list[tuple[str, dict]] = field(default_factory=list)
-    deferred_requests: list[bytes] = field(default_factory=list)
+    # Data requests not yet committed here, as (request tx id, asking org).
+    deferred_requests: list[tuple[bytes, str]] = field(default_factory=list)
+    # The ids of the data requests this node has answered.
+    answered: set[bytes] = field(default_factory=set)
     # Off-chain agent data for principals hosted at this node.
     struggles: dict[tuple[str, str], list[list[int]]] = field(default_factory=dict)
     profile_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
@@ -177,21 +180,18 @@ class RoundState:
 
 @dataclass
 class RequestState:
-    request_tx: bytes
-    requester: PrincipalId
-    requester_org: str
-    sender_org: str
+    """A data request this simulation started. Its session, once opened, is
+    at the request's `requester_org`."""
+
+    request: DataRequestRecorded
     decision: Optional[Decision] = None
-    session_org: Optional[str] = None
     session_id: Optional[str] = None
 
 
 @dataclass
 class MatchState:
     match_id: int
-    researcher: PrincipalId
     descriptors: tuple[str, ...]
-    study: Optional[str]
     # Host organization -> the participant ids it has yet to answer for; a
     # host's reply is the only one that counts for its participants.
     outstanding: dict[str, set[str]] = field(default_factory=dict)
@@ -353,13 +353,12 @@ class Simulation:
                 self._replay(fresh, node)
                 self._trace("node_up", {"org": fresh.org.id, "provisioned": True})
             # Each node commits a block once, so this request goes out once.
-            state = self.requests.get(tx.tx_id)
-            if state is not None and node.org.id == state.requester_org:
-                self._send(state.requester_org, state.sender_org, {"type": "data_request", "request_tx_id": tx.tx_id})
+            if tx.tx_id in self.requests and node.org == payload.requester_org:
+                self._send(node.org.id, payload.sender_org.id, {"type": "data_request", "request_tx_id": tx.tx_id})
         if node.deferred_requests:
             pending, node.deferred_requests = node.deferred_requests, []
-            for request_tx_id in pending:
-                self._process_data_request(node, request_tx_id)
+            for request_tx_id, from_org in pending:
+                self._process_data_request(node, request_tx_id, from_org)
         self._maybe_schedule_attempt()
 
     def _take(self, node: Node, block: Block, message_type: str, sender: Optional[str] = None) -> bool:
@@ -730,19 +729,33 @@ class Simulation:
             requester, requester_org, sender_org, patient, category, emergency
         )
         tx = self._sign_and_submit(node, requester, requester_org, payload)
-        self.requests[tx.tx_id] = RequestState(tx.tx_id, requester, requester_org.id, sender_org.id)
+        self.requests[tx.tx_id] = RequestState(payload)
         return tx.tx_id
 
     def _on_data_request(self, node: Node, from_org: str, message: dict) -> None:
-        self._process_data_request(node, message["request_tx_id"])
+        self._process_data_request(node, message["request_tx_id"], from_org)
 
-    def _process_data_request(self, node: Node, request_tx_id: bytes) -> None:
+    def _process_data_request(self, node: Node, request_tx_id: bytes, from_org: str) -> None:
+        """Answer the committed request `from_org` names, once, when `node` is
+        its sender organization and `from_org` its requester organization; a
+        request `node` has yet to commit waits for its commit."""
         tx = node.ledger.find_tx(request_tx_id)
         if tx is None:
-            node.deferred_requests.append(request_tx_id)
+            node.deferred_requests.append((request_tx_id, from_org))
             return
         payload = tx.payload
-        assert isinstance(payload, DataRequestRecorded)
+        if not isinstance(payload, DataRequestRecorded):
+            rule = "unknown"
+        elif node.org != payload.sender_org or from_org != payload.requester_org.id:
+            rule = "not_author"
+        elif request_tx_id in node.answered:
+            rule = "duplicate"
+        else:
+            rule = None
+        if rule is not None:
+            self._drop(node, "data_request", rule, from_org)
+            return
+        node.answered.add(request_tx_id)
         decision = policy_mod.evaluate_request(
             node.policy,
             payload.requester,
@@ -814,8 +827,7 @@ class Simulation:
         )
         node.sessions[session_id] = session
         state = self.requests.get(request_tx_id)
-        if state is not None:
-            state.session_org = node.org.id
+        if state is not None and node.org == state.request.requester_org:
             state.session_id = session_id
         self._trace(
             "session_opened",
@@ -845,8 +857,8 @@ class Simulation:
         if state is None:
             raise SimError("unknown request")
         session = None
-        if state.session_org is not None and state.session_id is not None:
-            session = self.nodes[state.session_org].sessions.get(state.session_id)
+        if state.session_id is not None:
+            session = self.nodes[state.request.requester_org.id].sessions.get(state.session_id)
         return RequestOutcome(request_tx_id, state.decision, session)
 
     def timeline_for(
@@ -958,7 +970,7 @@ class Simulation:
             raise SimError(f"node {via.org.id} is offline; cannot start a match")
         self._match_ids += 1
         match_id = self._match_ids
-        state = MatchState(match_id, researcher, tuple(descriptors), study)
+        state = MatchState(match_id, tuple(descriptors))
         visible = via.consent.visible(study)
         for host, ids in self.hosted.items():
             if named := ids & visible:

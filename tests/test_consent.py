@@ -490,7 +490,7 @@ def test_visible_equals_a_per_profile_model(publishes):
     for pid, discoverable, overrides in publishes:
         participant = P(Kind.PARTICIPANT, pid)
         payload = consent_mod.make_profile(participant, ["x"], {"x": bytes(16)}, discoverable, overrides)
-        state.apply(Transaction(0, participant, P(Kind.ORGANIZATION, "uni"), payload), 1, 0)
+        state.apply(Transaction(0, participant, P(Kind.ORGANIZATION, "uni"), payload))
         model[pid] = (discoverable, overrides)
         assert state.visible(None) == {p for p, (default, _) in model.items() if default}
         for study in (*STUDIES, "unknown"):

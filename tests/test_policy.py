@@ -5,20 +5,29 @@ import random
 import pytest
 
 from careledger import crypto
-from careledger.errors import PolicyError
+from careledger.consent import Question, Quiz
+from careledger.errors import ConsentError, PolicyError
 from careledger.exchange import submit_request
 from careledger.ledger import (
+    ZERO_HASH,
     Category,
+    ConsentInvited,
+    CreatePlan,
+    DataRequestRecorded,
+    EmergencyAccess,
     GrantAccess,
     Kind,
     LedgerState,
     PrincipalId,
+    ProfilePublished,
     RegisterPrincipal,
+    RegisterStudy,
+    Transaction,
     Violation,
     quorum,
     validate_chain,
 )
-from careledger.policy import Reason, Verdict, evaluate_request, fold, make_emergency_access
+from careledger.policy import Reason, Verdict, check_tx, evaluate_request, fold, make_emergency_access
 from careledger.scenario import run_scenario
 from careledger.simnet import SimConfig, spawn_network
 
@@ -215,6 +224,99 @@ class TestLedgerEnforcedRules:
         assert sim.host_org["nurse2"] == "homecare"
         proof = crypto.sign(key, b"nurse2")
         assert all(crypto.verify(n.policy.principals[nurse], proof, b"nurse2") for n in sim.nodes.values())
+
+
+@pytest.fixture(scope="module")
+def registry_sim():
+    """`build_care_sim()` plus researcher drx, study s1 and participant
+    part1's profile."""
+    sim = build_care_sim()
+    sim.register_person(Kind.RESEARCHER, "drx")
+    sim.register_person(Kind.PARTICIPANT, "part1")
+    sim.settle()
+    sim.register_study("drx", "s1", Quiz((Question("q", ("a", "b"), 0),)))
+    sim.publish_profile("part1", ["biobank"], True)
+    sim.settle()
+    return sim
+
+
+def test_the_folds_hold_the_committed_payloads(registry_sim):
+    for node in registry_sim.nodes.values():
+        committed = {type(tx.payload): tx.payload for _, _, tx in node.ledger.transactions()}
+        assert node.policy.plans["plan1"] is committed[CreatePlan]
+        assert node.policy.grants["g001"] is committed[GrantAccess]
+        assert node.consent.studies["s1"] is committed[RegisterStudy]
+        assert node.consent.profiles["part1"] is committed[ProfilePublished]
+
+
+_HOSPITAL, _HOMECARE, _NOWHERE = (P(Kind.ORGANIZATION, org) for org in ("hospital", "homecare", "nowhere"))
+_NURSE1, _NURSE9 = P(Kind.PRACTITIONER, "nurse1"), P(Kind.PRACTITIONER, "nurse9")
+_P001, _P999 = P(Kind.PATIENT, "p001"), P(Kind.PATIENT, "p999")
+_DRX, _DRZ = P(Kind.RESEARCHER, "drx"), P(Kind.RESEARCHER, "drz")
+_PART9 = P(Kind.PARTICIPANT, "part9")
+
+
+def _plan(patient=_P001, orgs=(_HOSPITAL,), pracs=((_NURSE1, _HOSPITAL),)):
+    return patient, _HOSPITAL, CreatePlan("plan9", patient, frozenset(orgs), frozenset(pracs))
+
+
+def _request(requester=_NURSE1, requester_org=_HOMECARE, sender_org=_HOSPITAL, patient=_P001):
+    return requester, requester_org, DataRequestRecorded(
+        requester, requester_org, sender_org, patient, Category.VITALS, False
+    )
+
+
+# (author, author org, payload) naming one principal that is not registered
+# as its kind, and the error class and message of its refusal.
+_UNKNOWN = {
+    "registration_org": (
+        (_NURSE9, _HOSPITAL, RegisterPrincipal(_NURSE9, bytes(32), _NOWHERE)),
+        PolicyError, "unknown organization nowhere",
+    ),
+    "registration_org_of_another_kind": (
+        (_NURSE9, _HOSPITAL, RegisterPrincipal(_NURSE9, bytes(32), _P001)),
+        PolicyError, "unknown organization p001",
+    ),
+    "plan_patient": (_plan(patient=_P999), PolicyError, "unknown patient p999"),
+    "plan_member_org": (_plan(orgs=(_HOSPITAL, _NOWHERE)), PolicyError, "unknown organization nowhere"),
+    "plan_practitioner": (_plan(pracs=((_NURSE9, _HOSPITAL),)), PolicyError, "unknown practitioner nurse9"),
+    "request_requester": (_request(requester=_NURSE9), PolicyError, "unknown practitioner nurse9"),
+    "request_requester_org": (_request(requester_org=_NOWHERE), PolicyError, "unknown organization nowhere"),
+    "request_sender_org": (_request(sender_org=_NOWHERE), PolicyError, "unknown organization nowhere"),
+    "request_patient": (_request(patient=_P999), PolicyError, "unknown patient p999"),
+    "emergency_requester": (
+        (_HOSPITAL, _HOSPITAL, EmergencyAccess(ZERO_HASH, _NURSE9, _P001, Category.VITALS)),
+        PolicyError, "unknown practitioner nurse9",
+    ),
+    "emergency_patient": (
+        (_HOSPITAL, _HOSPITAL, EmergencyAccess(ZERO_HASH, _NURSE1, _P999, Category.VITALS)),
+        PolicyError, "unknown patient p999",
+    ),
+    "study_researcher": (
+        (_DRX, _HOSPITAL, RegisterStudy("s9", ZERO_HASH, (_DRX, _DRZ), 1)),
+        ConsentError, "unknown researcher drz",
+    ),
+    "invitation_participant": (
+        (_DRX, _HOSPITAL, ConsentInvited("s1", _PART9)),
+        ConsentError, "unknown participant part9",
+    ),
+    "invitation_participant_of_another_kind": (
+        (_DRX, _HOSPITAL, ConsentInvited("s1", P(Kind.PATIENT, "p001"))),
+        ConsentError, "unknown participant p001",
+    ),
+    "profile_participant": (
+        (_PART9, _HOSPITAL, ProfilePublished(_PART9, frozenset({bytes(32)}), True, frozenset())),
+        ConsentError, "unknown participant part9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN))
+def test_a_principal_not_registered_as_its_kind_is_refused_as_unknown(registry_sim, case):
+    (author, author_org, payload), error, message = _UNKNOWN[case]
+    node = registry_sim.nodes["hospital"]
+    refusal = check_tx(node.policy, node.consent, Transaction(registry_sim.clock, author, author_org, payload))
+    assert (type(refusal), refusal.rule, str(refusal)) == (error, "unknown", message)
 
 
 def _decide(sim, at, category=Category.VITALS, requester="nurse1", requester_org="homecare",
@@ -505,7 +607,7 @@ def test_revocation_is_monotone(seed):
     node = sim.nodes[orgs[0]]
     state = node.policy
     grants = list(state.grants.values())
-    live = [g for g in grants if g.revoked_at is None]
+    live = [g for g in grants if g.grant_id not in state.revoked]
     if not live:
         pytest.skip("scenario produced no unrevoked grants")
     grid = _time_grid(sim, grant_windows)

@@ -8,7 +8,9 @@ from careledger import crypto
 from careledger.errors import ScriptError, SimError
 from careledger.exchange import submit_request
 from careledger.ledger import (
+    AccessCompleted,
     Category,
+    GrantAccess,
     Kind,
     LedgerState,
     PrincipalId,
@@ -441,6 +443,59 @@ class TestRuleCheckedCommits:
         sim.inject_fault("homecare", "up")
         assert node.ledger.height == height
         assert _sync_drops(sim) == [{"to": "homecare", "from": "hospital", "type": "sync", "dropped": "not_author"}]
+
+
+def _deliver_request(sim, from_org: str, to_org: str, request_tx: bytes) -> list:
+    """Deliver a `data_request` naming `request_tx` and run the network to
+    quiescence; return the (kind, detail) events that followed."""
+    since = len(sim.trace)
+    sim._schedule(0, "deliver", (from_org, to_org, {"type": "data_request", "request_tx_id": request_tx}))
+    sim.settle()
+    return [(e.kind, e.detail) for e in sim.trace[since:]]
+
+
+def _honest_request(sim) -> bytes:
+    """nurse1 at homecare asks hospital for p001's vitals, to completion."""
+    outcome = submit_request(
+        sim, P(Kind.PRACTITIONER, "nurse1"), P(Kind.ORGANIZATION, "homecare"),
+        P(Kind.ORGANIZATION, "hospital"), P(Kind.PATIENT, "p001"), Category.VITALS,
+    )
+    return outcome.request_tx
+
+
+class TestDataRequestDrops:
+    """A node answers a data request only once, only as the request's sender
+    organization, and only when the request's own organization asks."""
+
+    def test_a_request_naming_a_tx_of_another_type_dropped_as_unknown(self):
+        sim = build_care_sim()
+        grant = next(tx for _, _, tx in sim.nodes["hospital"].ledger.transactions() if isinstance(tx.payload, GrantAccess))
+        events = _deliver_request(sim, "homecare", "hospital", grant.tx_id)
+        dropped = {"to": "hospital", "type": "data_request", "dropped": "unknown", "from": "homecare"}
+        assert ("msg_delivered", dropped) in events
+        assert not any(kind == "decision" for kind, _ in events)
+
+    @pytest.mark.parametrize("from_org, to_org", [("homecare", "homecare"), ("hospital", "hospital")])
+    def test_a_request_to_or_from_the_wrong_organization_dropped_as_not_author(self, from_org, to_org):
+        sim = build_care_sim()
+        request_tx = _honest_request(sim)
+        events = _deliver_request(sim, from_org, to_org, request_tx)
+        dropped = {"to": to_org, "type": "data_request", "dropped": "not_author", "from": from_org}
+        assert ("msg_delivered", dropped) in events
+        assert not any(kind in ("decision", "block_committed") for kind, _ in events)
+
+    def test_a_second_delivery_of_an_answered_request_dropped_as_duplicate(self):
+        sim = build_care_sim()
+        request_tx = _honest_request(sim)
+        events = _deliver_request(sim, "homecare", "hospital", request_tx)
+        dropped = {"to": "hospital", "type": "data_request", "dropped": "duplicate", "from": "homecare"}
+        assert ("msg_delivered", dropped) in events
+        assert not any(kind == "decision" for kind, _ in events)
+        completions = [
+            tx for _, _, tx in sim.nodes["hospital"].ledger.transactions()
+            if isinstance(tx.payload, AccessCompleted) and tx.payload.request_tx == request_tx
+        ]
+        assert len(completions) == 1
 
 
 class TestFork:
