@@ -211,6 +211,8 @@ class ConsentState:
                 return _refuse("unknown", unknown)
             if not p.commitments:
                 return _refuse("malformed", "a profile needs at least one source descriptor")
+            if len({study for study, _ in p.study_overrides}) < len(p.study_overrides):
+                return _refuse("malformed", "a profile overrides one study both ways")
         return None
 
     def apply(self, tx: Transaction) -> None:

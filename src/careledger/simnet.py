@@ -29,6 +29,13 @@ takes the missing blocks from a peer's chain (the highest online node's, or
 for a new organization the chain of the node that committed its
 registration), checks each one as a commit is checked, and stops at the
 first that fails.
+
+The chain is the only channel for what the chain holds. A node answers
+each data request whose sender organization it is when it commits the
+request's block; a replay answers the requests it took once it ends, so
+the node decides against the state it has caught up to. Off-chain
+messages carry only what the chain cannot: the records of an allowed
+request, and the match fan-out's salts.
 """
 
 from __future__ import annotations
@@ -146,10 +153,6 @@ class Node:
     # Pending transactions by id, in arrival order.
     mempool: dict[bytes, Transaction] = field(default_factory=dict)
     parked: list[tuple[str, dict]] = field(default_factory=list)
-    # Data requests not yet committed here, as (request tx id, asking org).
-    deferred_requests: list[tuple[bytes, str]] = field(default_factory=list)
-    # The ids of the data requests this node has answered.
-    answered: set[bytes] = field(default_factory=set)
     # Off-chain agent data for principals hosted at this node.
     struggles: dict[tuple[str, str], list[list[int]]] = field(default_factory=dict)
     profile_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
@@ -322,7 +325,8 @@ class Simulation:
     def _commit(self, node: Node, block: Block, sync: bool = False) -> None:
         """Fold `block` into `node` and act on it: drop the pending txs it
         invalidated, provision a node for each organization it registers,
-        forward the data requests `node` made, and retry deferred ones."""
+        and answer the data requests sent to `node`, unless a replay commits
+        it (`sync`): the replay answers them once it ends."""
         node.ledger.append(block)
         apply_block(node.policy, node.consent, block)
         for tx in block.transactions:
@@ -352,13 +356,8 @@ class Simulation:
                     fresh.store.vault[patient] = VaultRow(row.salt, row.true_id)
                 self._replay(fresh, node)
                 self._trace("node_up", {"org": fresh.org.id, "provisioned": True})
-            # Each node commits a block once, so this request goes out once.
-            if tx.tx_id in self.requests and node.org == payload.requester_org:
-                self._send(node.org.id, payload.sender_org.id, {"type": "data_request", "request_tx_id": tx.tx_id})
-        if node.deferred_requests:
-            pending, node.deferred_requests = node.deferred_requests, []
-            for request_tx_id, from_org in pending:
-                self._process_data_request(node, request_tx_id, from_org)
+        if not sync:
+            self._answer_requests(node, [block])
         self._maybe_schedule_attempt()
 
     def _take(self, node: Node, block: Block, message_type: str, sender: Optional[str] = None) -> bool:
@@ -375,10 +374,14 @@ class Simulation:
     def _replay(self, node: Node, source: Node) -> None:
         """Take the blocks of `source`'s chain that `node` lacks, each checked
         as a commit is checked; the first that fails stops the replay and is
-        traced as a dropped `sync` message."""
-        for block in source.ledger.blocks[node.ledger.height + 1 :]:
+        traced as a dropped `sync` message. Then answer the data requests
+        sent to `node` in the blocks it took, against the state it has
+        caught up to."""
+        start = node.ledger.height + 1
+        for block in source.ledger.blocks[start:]:
             if not self._take(node, block, "sync", source.org.id):
-                return
+                break
+        self._answer_requests(node, node.ledger.blocks[start:])
 
     # -- consensus ------------------------------------------------------------
 
@@ -492,8 +495,11 @@ class Simulation:
             node.parked.append((from_org, message))
             return
         self._trace("msg_delivered", self._msg_detail(from_org, to_org, message))
-        handler = getattr(self, "_on_" + message["type"])
-        handler(node, from_org, message)
+        handler = getattr(self, "_on_" + message["type"], None)
+        if handler is None:
+            self._drop(node, message["type"], "malformed", from_org)
+        else:
+            handler(node, from_org, message)
 
     def _on_tx(self, node: Node, from_org: str, message: dict) -> None:
         tx: Transaction = message["tx"]
@@ -732,30 +738,17 @@ class Simulation:
         self.requests[tx.tx_id] = RequestState(payload)
         return tx.tx_id
 
-    def _on_data_request(self, node: Node, from_org: str, message: dict) -> None:
-        self._process_data_request(node, message["request_tx_id"], from_org)
+    def _answer_requests(self, node: Node, blocks: list[Block]) -> None:
+        """Answer each data request in the committed `blocks` whose sender
+        organization `node` is. Each node commits a block once, so it answers
+        each request once."""
+        for tx in (tx for block in blocks for tx in block.transactions):
+            if isinstance(tx.payload, DataRequestRecorded) and tx.payload.sender_org == node.org:
+                self._answer_request(node, tx.tx_id, tx.payload)
 
-    def _process_data_request(self, node: Node, request_tx_id: bytes, from_org: str) -> None:
-        """Answer the committed request `from_org` names, once, when `node` is
-        its sender organization and `from_org` its requester organization; a
-        request `node` has yet to commit waits for its commit."""
-        tx = node.ledger.find_tx(request_tx_id)
-        if tx is None:
-            node.deferred_requests.append((request_tx_id, from_org))
-            return
-        payload = tx.payload
-        if not isinstance(payload, DataRequestRecorded):
-            rule = "unknown"
-        elif node.org != payload.sender_org or from_org != payload.requester_org.id:
-            rule = "not_author"
-        elif request_tx_id in node.answered:
-            rule = "duplicate"
-        else:
-            rule = None
-        if rule is not None:
-            self._drop(node, "data_request", rule, from_org)
-            return
-        node.answered.add(request_tx_id)
+    def _answer_request(self, node: Node, request_tx_id: bytes, payload: DataRequestRecorded) -> None:
+        """Decide the request against `node`'s state, record the decision on
+        chain and, when it allows, send the records to the requester."""
         decision = policy_mod.evaluate_request(
             node.policy,
             payload.requester,
@@ -807,15 +800,15 @@ class Simulation:
                     "requester": payload.requester,
                 },
             )
-        else:
-            self._send(
-                node.org.id,
-                payload.requester_org.id,
-                {"type": "deny", "request_tx_id": request_tx_id},
-            )
 
     def _on_records(self, node: Node, from_org: str, message: dict) -> None:
+        """Open a session at the request's requester organization, for records
+        from its sender organization; drop any other `records` message."""
         request_tx_id: bytes = message["request_tx_id"]
+        state = self.requests.get(request_tx_id)
+        if state is None or (node.org, from_org) != (state.request.requester_org, state.request.sender_org.id):
+            self._drop(node, "records", "not_author" if state else "unknown", from_org)
+            return
         session_id = "s" + request_tx_id.hex()[:12]
         session = Session(
             session_id=session_id,
@@ -826,9 +819,7 @@ class Simulation:
             ttl=self.config.session_ttl,
         )
         node.sessions[session_id] = session
-        state = self.requests.get(request_tx_id)
-        if state is not None and node.org == state.request.requester_org:
-            state.session_id = session_id
+        state.session_id = session_id
         self._trace(
             "session_opened",
             {
@@ -839,10 +830,6 @@ class Simulation:
             },
         )
         self._schedule(self.config.session_ttl, "session_expiry", (node.org.id, session_id))
-
-    def _on_deny(self, node: Node, from_org: str, message: dict) -> None:
-        # The sender already recorded the decision and the completion tx.
-        return
 
     def _ev_session_expiry(self, org_id: str, session_id: str) -> None:
         node = self.nodes[org_id]

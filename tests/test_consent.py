@@ -26,6 +26,7 @@ from careledger.ledger import (
     ConsentSigned,
     Kind,
     PrincipalId,
+    ProfilePublished,
     QuizAttemptRecorded,
     Transaction,
     canonical_encode,
@@ -499,6 +500,19 @@ def test_visible_equals_a_per_profile_model(publishes):
 
 
 class TestProfilesAndMatching:
+    def test_a_profile_overriding_one_study_both_ways_refused_as_malformed(self):
+        sim = consent_sim()
+        part1 = P(Kind.PARTICIPANT, "part1")
+        commitments = frozenset({crypto.commitment(bytes(16), "biobank")})
+        forged = ProfilePublished(part1, commitments, True, frozenset({("s1", True), ("s1", False)}))
+        with pytest.raises(ConsentError) as err:
+            _submit_consent(sim, part1, forged)
+        assert err.value.rule == "malformed"
+        events = propose(sim, "uni", "biobank", [signed(sim, part1, P(Kind.ORGANIZATION, "uni"), forged)])
+        assert ("msg_delivered", {"to": "biobank", "type": "propose", "dropped": "malformed"}) in events
+        sim.settle()
+        assert "part1" not in sim.nodes["uni"].consent.profiles
+
     def test_profile_tx_carries_commitments_only(self):
         sim = profile_sim({"A": ({"biobank:lifelines", "registry:cardiac"}, True)})
         ledger = sim.nodes["uni"].ledger

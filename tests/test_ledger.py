@@ -9,6 +9,7 @@ import random
 import struct
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -680,19 +681,19 @@ class TestInterning:
 # to the wire format, the audit view or the simulated protocol shows here.
 GOLDEN = {
     "case1": (
-        "c78a24669d4a2d778c703452d9568bcd2e3303dc7f4e90ec2d864fe47817ac32",
-        "5dc420d4e9bfe16f7a8fd8a3dbed554bda5b667edddba7bbae6f4647868beb54",
-        "8f5db6ff8da7519e28f7993cbf80ce487f89828e8365c3e5e88f9332943196a3",
+        "1f97d0a05d3f19748435b39ad4f4565a4af8ec6d299a63104990fe482c832fd0",
+        "2efccb2ecfdf0839323d3c3587dc236356c405c50b508d7e3b8358451ce01a92",
+        "5e85cb89876b80f7b4034032f4efcf85611767fc41b8966b9e0ec592d75d3468",
     ),
     "case1_emergency": (
-        "d939f1b3e9ffdc7e6fce37ee581b30adacc724f014f835c11d974151d60e15be",
-        "1cb21aef46a192e65410d34fec5c56a3ca04cee4b52f74c7ce9add57910d9fd9",
-        "572c7d68208c61b5048ae8dcb4c4b9b7d6deb23daec00d74d8aea567b6178a37",
+        "93937b228590d5e50f47bfe8bd0cc3fa45b8a4127cc8b9120dc6fd5feb084d5d",
+        "57207faa147cb6785e41572c8ec34887878dd6f023d2b27c6180d9b420273cdd",
+        "63cd6cbd217f07af8a6602fc396cb07c3b50e7accb64f2bbc9fad50698cd39fa",
     ),
     "case1_fault": (
-        "3df143b0f23311dcfd426e86808b909064f512b6b9cfad66b52f12640d65cfc3",
-        "76ed19c97bf005369351db5a3c04b16c77a42b02cb21c157b696e1a0be0023cd",
-        "974deed0b73d06d4acf7d1064a17095474ccb1b85873fb752668b2cd581b620d",
+        "d64d447473ebff097a8441db0f7bb8ba7f48e2bf0b1a5a16251f8e221025ac75",
+        "3cb6763a96005538198ef0f167be45fbf7b37ed058ee0e23c2deab3231bf05ba",
+        "a1c879a195d9ac10f4ead9358dce25e70a36c85f99248a4ec78bd89b7399dcf8",
     ),
     "case2": (
         "f65f272d210b276c30ab268c037b32bba320974e915284b60e50f014922301ec",
@@ -705,9 +706,9 @@ GOLDEN = {
         "c9a0c07f1152dbe59ef50260754cbfe9144b88ac2da5cc141b927e1b3c6ced9b",
     ),
     "shred": (
-        "8d85c2a6c3b1092b12bef327061a90a50f95d4cff49b8eb3e4226b4f396051a0",
-        "2ce5fc41e3fbc8eeb9fc9ad751f33ca182f89be3fabfdd478be98489a88a0982",
-        "55c02f6723dbed2aee1688453f64b53cb6b6a6274e1746194a9c463eb9be9a48",
+        "4c0e2e29ab2be12015dfe37eb3324217cb2ffa709e12fc6d101056fc412e79d7",
+        "fd968b74ae522992562d412b2f4597afd47605b801ce218844a83114dfdc3e58",
+        "792d1910ebc728d0c8d2e9a86265e6b43aeed143c1fc13c7254652618f4cde8f",
     ),
     "membership": (
         "e27e0f1bd1b1f383452234fd9eee29ac3a62c2fe694854222db4688aa70ad0ab",
@@ -729,9 +730,9 @@ ALL_ACTIONS = {
 HOSTILE = ["--latency-min", "40", "--latency-max", "90", "--block-interval", "10"]
 GOLDEN_HOSTILE = {
     "case1_fault": (
-        "ea2de026794c771ddf7dca4aadc82f00d807a6901c94dfbcb786c2a086873dcb",
-        "a0e0abc744ece68a4933614de425042cf660cf7a282225a92410c1aea53a1370",
-        "4492b6333c14b7c08f7ce124204802c2d15166046dad42da0c4541484dcc8103",
+        "40d5b93b0c3808a531f9045e0c1d1330191e5e8a1317a5524875413e216b4288",
+        "aee6c610e422e09e1b8df6f91f481deea402d6492468d9b9cfb8446ed79f814d",
+        "36f6e20af665a6ee3051723831efec726c4c7305f0f11e4b53cea0f98979227f",
     ),
     "membership": (
         "9c5ca7f984e321e8aefde2003ea3c94a636607291d270114954b864d4ebce9ab",
@@ -763,11 +764,43 @@ class TestGoldenPins:
         assert actions == ALL_ACTIONS
 
 
+# Each fixture's audit trail at seed 42 without its timing: the digest of
+# every org's `careledger audit` rows, one JSON line each, less `timestamp`,
+# `tx_id` and `height`. A change to when the simulator acts moves GOLDEN but
+# not these; a change to what it decides or records moves them.
+AUDIT_TRAILS = {
+    "case1": "a4e26fac1b5768977991c0a0213119903650cbc00511f45b4f840dab2dd19a91",
+    "case1_emergency": "23b300982a9e1b685cb76d32e919df046f1a8ff1af5ed3b2c8d958daeb9e78c2",
+    "case1_fault": "69f4fe329d24e2f3c40b1c40dd18f0c9f4a0f861d634a80a7da9a8cc5ec338a8",
+    "case2": "866673fd238d7af2c2551c67d7a3b8aac627a7d75b9992d9e352c9b2dad50ddf",
+    "case2_match": "7c4b225f417c6c4368631d299eb4235b04402111c12a834c8906e67098db52e1",
+    "membership": "badf0b75432ca7e517bb15b9ae61c827f351ec0650bd6cc43a20c3314d819931",
+    "shred": "6300eb63a2c9c3330b6ee6ffe15b92368956e33475c68db3f59f7f01c595974b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_TRAILS))
+def test_fixture_audit_trails_without_timing_are_pinned(name):
+    assert {path.stem for path in FIXTURES.glob("*.scn")} == AUDIT_TRAILS.keys()
+    sim, _ = run_scenario((FIXTURES / f"{name}.scn").read_text(), SimConfig(seed=42), base_dir=FIXTURES)
+    for org, node in sim.nodes.items():
+        rows = []
+        for entry in query_audit(node.ledger):
+            row = json.loads(entry.to_json())
+            del row["timestamp"], row["tx_id"], row["height"]
+            rows.append(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+        assert hashlib.sha256("".join(rows).encode()).hexdigest() == AUDIT_TRAILS[name], org
+
+
 # The outcome of every trial below, as the decoder and the chain checks
 # report it. Taken when the decoder was a field-by-field interpreter; a
 # decoder built any other way must fail each trial with the same error class,
-# rule and message.
+# rule and message. The trials mutate a checked-in copy of case1's hospital
+# ledger (seed 42, as the simulator wrote it when the outcomes were taken),
+# so a change to the simulated protocol does not move them.
 TAMPER_OUTCOMES = "51dac766d3a45b6c081bda3a68b529650150ac28f58ad15f2caf071119382390"
+TAMPER_SOURCE = Path(__file__).parent / "data" / "case1_hospital.ledger"
+TAMPER_SOURCE_DIGEST = "c78a24669d4a2d778c703452d9568bcd2e3303dc7f4e90ec2d864fe47817ac32"
 
 
 def _tamper_outcome(path, data: bytes) -> str:
@@ -781,10 +814,8 @@ def _tamper_outcome(path, data: bytes) -> str:
 
 class TestTamperOutcomes:
     def test_mutations_and_truncations_fail_as_pinned(self, tmp_path):
-        sim, _ = run_scenario((FIXTURES / "case1.scn").read_text(), SimConfig(seed=42), base_dir=FIXTURES)
-        source = tmp_path / "chain.ledger"
-        write_ledger(sim.nodes["hospital"].ledger, str(source))
-        data = source.read_bytes()
+        data = TAMPER_SOURCE.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == TAMPER_SOURCE_DIGEST
         target = tmp_path / "mutated.ledger"
         rng = random.Random("tamper-outcomes")
         outcomes = []

@@ -149,6 +149,37 @@ class TestFaults:
         assert len(requests) == 1 and len(completions) == 1
         sim.assert_prefix_consistent()
 
+    def test_a_revocation_committed_while_the_sender_is_down_denies_its_request(self):
+        """The sender decides against the chain it has caught up to, not the
+        one at the request's height."""
+        sim = spawn_network(["homecare", "hospital", "pharmacy", "lab"], SimConfig(seed=42))
+        sim.register_practitioner("nurse1", "homecare")
+        sim.register_person(Kind.PATIENT, "p001")
+        sim.settle()
+        assert sim.host_org["p001"] == "homecare"
+        sim.create_plan("plan1", "p001", ["hospital", "homecare"], [("nurse1", "homecare")])
+        sim.settle()
+        grant, _ = sim.grant_access("p001", "plan1", "nurse1", frozenset({Category.VITALS}), 0, 600_000)
+        sim.add_record("hospital", "p001", Category.VITALS, 10, "BP 120/80", "x")
+        sim.settle()
+        sim.inject_fault("hospital", "down")
+        request_tx = sim.start_request(
+            P(Kind.PRACTITIONER, "nurse1"), P(Kind.ORGANIZATION, "homecare"),
+            P(Kind.ORGANIZATION, "hospital"), P(Kind.PATIENT, "p001"), Category.VITALS,
+        )
+        sim.settle()
+        sim.revoke_access("p001", grant)
+        sim.settle()
+        committed = [tx.action for _, _, tx in sim.nodes["homecare"].ledger.transactions()]
+        assert committed[-2:] == ["DataRequestRecorded", "RevokeAccess"]
+        sim.inject_fault("hospital", "up")
+        sim.settle()
+        outcome = sim.request_outcome(request_tx)
+        assert (outcome.decision.verdict.value, outcome.decision.reason.value) == ("deny", "revoked")
+        assert outcome.session is None
+        assert not any(e.kind == "session_opened" for e in sim.trace)
+        sim.assert_prefix_consistent()
+
     def test_down_up_cycle_never_diverges(self):
         sim = spawn_network(["a", "b", "c"], SimConfig(seed=8))
         sim.register_person(Kind.PATIENT, "p1")
@@ -464,38 +495,62 @@ def _honest_request(sim) -> bytes:
 
 
 class TestDataRequestDrops:
-    """A node answers a data request only once, only as the request's sender
-    organization, and only when the request's own organization asks."""
+    """A node answers the data requests it commits, so no message asks it to:
+    a `data_request` message is of no known type, and its delivery is dropped
+    as `malformed` and runs no exchange, whatever it names."""
 
-    def test_a_request_naming_a_tx_of_another_type_dropped_as_unknown(self):
-        sim = build_care_sim()
-        grant = next(tx for _, _, tx in sim.nodes["hospital"].ledger.transactions() if isinstance(tx.payload, GrantAccess))
-        events = _deliver_request(sim, "homecare", "hospital", grant.tx_id)
-        dropped = {"to": "hospital", "type": "data_request", "dropped": "unknown", "from": "homecare"}
-        assert ("msg_delivered", dropped) in events
-        assert not any(kind == "decision" for kind, _ in events)
-
-    @pytest.mark.parametrize("from_org, to_org", [("homecare", "homecare"), ("hospital", "hospital")])
-    def test_a_request_to_or_from_the_wrong_organization_dropped_as_not_author(self, from_org, to_org):
-        sim = build_care_sim()
-        request_tx = _honest_request(sim)
-        events = _deliver_request(sim, from_org, to_org, request_tx)
-        dropped = {"to": to_org, "type": "data_request", "dropped": "not_author", "from": from_org}
-        assert ("msg_delivered", dropped) in events
-        assert not any(kind in ("decision", "block_committed") for kind, _ in events)
-
-    def test_a_second_delivery_of_an_answered_request_dropped_as_duplicate(self):
+    @pytest.mark.parametrize(
+        "named, from_org, to_org",
+        [
+            pytest.param("grant", "homecare", "hospital", id="other_tx"),
+            pytest.param("request", "homecare", "homecare", id="to_requester"),
+            pytest.param("request", "hospital", "hospital", id="from_sender"),
+            pytest.param("request", "homecare", "hospital", id="second_delivery"),
+        ],
+    )
+    def test_a_data_request_dropped_as_malformed(self, named, from_org, to_org):
         sim = build_care_sim()
         request_tx = _honest_request(sim)
-        events = _deliver_request(sim, "homecare", "hospital", request_tx)
-        dropped = {"to": "hospital", "type": "data_request", "dropped": "duplicate", "from": "homecare"}
+        ledger = sim.nodes["hospital"].ledger
+        grant = next(tx for _, _, tx in ledger.transactions() if isinstance(tx.payload, GrantAccess))
+        events = _deliver_request(sim, from_org, to_org, request_tx if named == "request" else grant.tx_id)
+        dropped = {"to": to_org, "type": "data_request", "dropped": "malformed", "from": from_org}
         assert ("msg_delivered", dropped) in events
         assert not any(kind == "decision" for kind, _ in events)
-        completions = [
-            tx for _, _, tx in sim.nodes["hospital"].ledger.transactions()
-            if isinstance(tx.payload, AccessCompleted) and tx.payload.request_tx == request_tx
-        ]
-        assert len(completions) == 1
+        completions = [tx.payload for _, _, tx in ledger.transactions() if isinstance(tx.payload, AccessCompleted)]
+        assert [c.request_tx for c in completions] == [request_tx]
+
+
+class TestRecordsDrops:
+    """Records open a session only at the request's requester organization,
+    and only when they come from its sender organization."""
+
+    @pytest.mark.parametrize(
+        "named, from_org, to_org, rule",
+        [
+            ("request", "homecare", "homecare", "not_author"),
+            ("request", "hospital", "hospital", "not_author"),
+            ("no_request", "hospital", "homecare", "unknown"),
+        ],
+    )
+    def test_records_from_or_to_the_wrong_organization_dropped(self, named, from_org, to_org, rule):
+        sim = build_care_sim()
+        outcome = submit_request(
+            sim, P(Kind.PRACTITIONER, "nurse1"), P(Kind.ORGANIZATION, "homecare"),
+            P(Kind.ORGANIZATION, "hospital"), P(Kind.PATIENT, "p002"), Category.VITALS,
+        )
+        assert (outcome.decision.verdict.value, outcome.decision.reason.value) == ("deny", "not_plan_member")
+        request_tx = outcome.request_tx if named == "request" else bytes(32)
+        message = {"type": "records", "request_tx_id": request_tx, "records": ["forged"],
+                   "requester": P(Kind.PRACTITIONER, "nurse1")}
+        since = len(sim.trace)
+        sim._schedule(0, "deliver", (from_org, to_org, message))
+        sim.settle()
+        events = [(e.kind, e.detail) for e in sim.trace[since:]]
+        assert ("msg_delivered", {"to": to_org, "type": "records", "dropped": rule, "from": from_org}) in events
+        assert not any(kind == "session_opened" for kind, _ in events)
+        assert all(not node.sessions for node in sim.nodes.values())
+        assert sim.request_outcome(outcome.request_tx).session is None
 
 
 class TestFork:
