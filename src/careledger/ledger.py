@@ -572,18 +572,18 @@ class LedgerState:
     grows only through `append`. Both lookups are lazy and rely on that: the
     transaction index and the audit-subject index each catch up over the
     blocks appended since their last use, so building or growing a state
-    does no per-transaction work."""
+    does no per-transaction work. The subject index holds the `AuditEntry`
+    views themselves, built by the first subject query; an entry builds its
+    `detail` on each read."""
 
     blocks: list[Block] = field(default_factory=list)
     # Transaction id -> (height, position) over blocks[:_tx_indexed]; the
     # last occurrence of an id wins.
     _by_tx: dict[bytes, tuple[int, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _tx_indexed: int = field(default=0, init=False, repr=False, compare=False)
-    # Audit subject -> (height, position) rows in chain order over
-    # blocks[:_indexed]; caught up by the first subject query after appends.
-    _by_subject: dict[str, list[tuple[int, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # Audit subject -> its entries in chain order over blocks[:_indexed];
+    # caught up by the first subject query after appends.
+    _by_subject: dict[str, list[AuditEntry]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def append(self, block: Block) -> None:
@@ -623,14 +623,14 @@ class LedgerState:
             for pos, tx in enumerate(block.transactions):
                 yield block.height, pos, tx
 
-    def _subject_rows(self, subject: str) -> Iterator[tuple[int, int, Transaction]]:
-        """The transactions whose audit subject is `subject`, in chain order."""
+    def _subject_entries(self, subject: str) -> list[AuditEntry]:
+        """The audit entries whose subject is `subject`, in chain order."""
         for block in self.blocks[self._indexed:]:
             for pos, tx in enumerate(block.transactions):
-                self._by_subject.setdefault(tx.payload.audit_subject(), []).append((block.height, pos))
+                entry = AuditEntry(block.height, pos, tx.payload.audit_subject(), tx)
+                self._by_subject.setdefault(entry.subject, []).append(entry)
         self._indexed = len(self.blocks)
-        for height, pos in self._by_subject.get(subject, ()):
-            yield height, pos, self.blocks[height].transactions[pos]
+        return self._by_subject.get(subject, [])
 
 
 class Registry(dict):
@@ -827,26 +827,35 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
 
 @dataclass(frozen=True)
 class AuditEntry:
-    tx_id: bytes
+    """One committed transaction as an audit row: a read-only view over `tx`."""
+
     height: int
     position: int
-    timestamp: int
-    actor: PrincipalId
-    actor_org: PrincipalId
-    action: str
     subject: str
-    detail: dict
+    tx: Transaction
+
+    tx_id = property(attrgetter("tx.tx_id"))
+    timestamp = property(attrgetter("tx.timestamp"))
+    actor = property(attrgetter("tx.author"))
+    actor_org = property(attrgetter("tx.author_org"))
+    action = property(attrgetter("tx.action"))
+
+    @property
+    def detail(self) -> dict:
+        """A new dict on each read."""
+        return self.tx.payload.audit_detail()
 
     def to_json(self) -> str:
+        tx = self.tx
         row = {
-            "tx_id": self.tx_id.hex(),
+            "tx_id": tx.tx_id.hex(),
             "height": self.height,
-            "timestamp": self.timestamp,
-            "actor": str(self.actor),
-            "actor_org": self.actor_org.id,
-            "action": self.action,
+            "timestamp": tx.timestamp,
+            "actor": str(tx.author),
+            "actor_org": tx.author_org.id,
+            "action": tx.action,
             "subject": self.subject,
-            "detail": self.detail,
+            "detail": tx.payload.audit_detail(),
         }
         return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
@@ -863,35 +872,22 @@ def query_audit(
 
     The time range is inclusive on both ends. An empty filter returns one
     entry per committed transaction. A `subject` query reads only that
-    subject's transactions, through the ledger's subject index.
+    subject's entries, through the ledger's subject index.
     """
     if time_from is not None and time_to is not None and time_to < time_from:
         raise ValueError(f"time range end {time_to} before start {time_from}")
-    rows = ledger.transactions() if subject is None else ledger._subject_rows(subject)
-    out = []
-    for height, pos, tx in rows:
-        if actor is not None and tx.author.id != actor:
-            continue
-        if action is not None and tx.action != action:
-            continue
-        if time_from is not None and tx.timestamp < time_from:
-            continue
-        if time_to is not None and tx.timestamp > time_to:
-            continue
-        out.append(
-            AuditEntry(
-                tx_id=tx.tx_id,
-                height=height,
-                position=pos,
-                timestamp=tx.timestamp,
-                actor=tx.author,
-                actor_org=tx.author_org,
-                action=tx.action,
-                subject=tx.payload.audit_subject(),
-                detail=tx.payload.audit_detail(),
-            )
+
+    def kept(tx: Transaction) -> bool:
+        return (
+            (actor is None or tx.author.id == actor)
+            and (action is None or tx.action == action)
+            and (time_from is None or tx.timestamp >= time_from)
+            and (time_to is None or tx.timestamp <= time_to)
         )
-    return out
+
+    if subject is None:
+        return [AuditEntry(h, pos, tx.payload.audit_subject(), tx) for h, pos, tx in ledger.transactions() if kept(tx)]
+    return [e for e in ledger._subject_entries(subject) if kept(e.tx)]
 
 
 # ---------------------------------------------------------------------------

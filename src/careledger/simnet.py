@@ -166,10 +166,12 @@ class Node:
 
 def _sealed(block: Block, endorsements: dict[str, bytes]) -> Block:
     """`block` carrying `endorsements` (org id -> signature), sorted by org."""
-    return replace(
+    sealed = replace(
         block,
         endorsements=tuple((PrincipalId(Kind.ORGANIZATION, org), sig) for org, sig in sorted(endorsements.items())),
     )
+    sealed.__dict__["hash"] = block.hash  # endorsements are outside the header; seeds the cached_property
+    return sealed
 
 
 @dataclass

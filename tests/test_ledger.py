@@ -8,7 +8,7 @@ import pickle
 import random
 import struct
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -431,6 +431,22 @@ class TestAudit:
         assert hits
         assert all(e.timestamp == t for e in hits)
 
+    # SHA-256 of the newline-terminated `to_json` lines of the stored case1
+    # ledger's audit trail: unfiltered, and by subject through the index.
+    @pytest.mark.parametrize(
+        "subject, rows, digest",
+        [
+            (None, 17, "5dc420d4e9bfe16f7a8fd8a3dbed554bda5b667edddba7bbae6f4647868beb54"),
+            ("p001", 12, "575ac4f6dda4a1afab56a5b788d1cb492d9d1056cd1f18f8b48a8fa863afab2a"),
+        ],
+        ids=["unfiltered", "p001"],
+    )
+    def test_audit_bytes_are_pinned(self, subject, rows, digest):
+        entries = query_audit(read_ledger(str(TAMPER_SOURCE)), subject=subject)
+        text = "".join(e.to_json() + "\n" for e in entries)
+        assert len(entries) == rows
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 def _every_payload_chain() -> LedgerState:
     """case1, one emergency request, then case2's research lines: a chain
@@ -442,13 +458,13 @@ def _every_payload_chain() -> LedgerState:
     return sim.nodes["hospital"].ledger
 
 
-def _count_audit_subject(monkeypatch) -> list:
-    """Record the payload of every audit_subject call from now on."""
+def _count_payload_calls(monkeypatch, method: str) -> list:
+    """Record the payload of every call of `method` from now on."""
     calls = []
     for cls in (Payload, *Payload.__subclasses__()):
-        if "audit_subject" in vars(cls):
-            original = vars(cls)["audit_subject"]
-            monkeypatch.setattr(cls, "audit_subject", lambda self, f=original: calls.append(self) or f(self))
+        if method in vars(cls):
+            original = vars(cls)[method]
+            monkeypatch.setattr(cls, method, lambda self, f=original: calls.append(self) or f(self))
     return calls
 
 
@@ -491,18 +507,34 @@ class TestSubjectIndex:
         assert after[: len(before)] == before
         assert [e.action for e in after[len(before):]] == ["DataRequestRecorded", "AccessCompleted"]
 
-    def test_second_query_reads_only_the_subjects_transactions(self, monkeypatch, tmp_path):
+    def test_second_query_does_no_payload_work(self, monkeypatch, tmp_path):
         _, ledger = _two_org_chain()
         path = tmp_path / "chain.ledger"
         write_ledger(ledger, str(path))
-        calls = _count_audit_subject(monkeypatch)
+        subjects = _count_payload_calls(monkeypatch, "audit_subject")
+        details = _count_payload_calls(monkeypatch, "audit_detail")
         loaded = read_ledger(str(path))
-        assert calls == []  # reading and appending do no index work
+        assert subjects == [] and details == []  # reading and appending do no index work
         first = query_audit(loaded, subject="p001")
-        calls.clear()
+        subjects.clear()
         assert query_audit(loaded, subject="p001") == first
-        assert calls == [loaded.find_tx(e.tx_id).payload for e in first]
+        assert subjects == []
+        assert details == []
         assert len(first) < len(loaded.height_index)
+
+    def test_returned_entries_share_no_state(self):
+        _, ledger = _two_org_chain()
+        first = query_audit(ledger, subject="p001")
+        expected = [(e, copy.deepcopy(e.detail)) for e in first]
+        first.append(first[0])
+        del first[:2]
+        entry = query_audit(ledger, subject="p001")[0]
+        detail = entry.detail
+        detail["id"] = "forged"
+        del detail["kind"]
+        assert [(e, e.detail) for e in query_audit(ledger, subject="p001")] == expected
+        with pytest.raises(FrozenInstanceError):
+            entry.height = 99
 
 
 class TestTxIndex:

@@ -1,6 +1,7 @@
 """Network bootstrap, consensus rounds, fault injection, scenario runs."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +18,16 @@ from careledger.ledger import (
     RegisterPrincipal,
     Registry,
     Transaction,
+    block_hash,
     query_audit,
     quorum,
+    read_ledger,
     sign_tx,
     validate_chain,
 )
 from careledger.policy import fold
 from careledger.scenario import parse_script, run_scenario
-from careledger.simnet import SimConfig, spawn_network
+from careledger.simnet import SimConfig, _sealed, spawn_network
 
 from conftest import build_care_sim, propose, rule_breaking_block, sealed_by_all
 
@@ -105,6 +108,16 @@ class TestConsensusRound:
         # Proposal lands on the next interval boundary; commit follows within
         # one more interval (latency is far smaller than the interval).
         assert min(e.at for e in commit_events) <= submitted_at + 2 * sim.config.block_interval
+
+    def test_a_sealed_block_keeps_its_header_hash(self):
+        for block in read_ledger(str(Path(__file__).parent / "data" / "case1_hospital.ledger")).blocks:
+            unsealed = replace(block, endorsements=())
+            sealed = _sealed(unsealed, {"hospital": bytes(64), "homecare": bytes(64)})
+            assert sealed.hash == block_hash(sealed) == block.hash
+            assert [org.id for org, _ in sealed.endorsements] == ["homecare", "hospital"]
+        sim = build_care_sim()
+        for node in sim.nodes.values():
+            assert all(block.hash == block_hash(block) for block in node.ledger.blocks)
 
 
 class TestFaults:
