@@ -81,34 +81,20 @@ def _load_state(out_dir: str) -> dict:
 def _state_dict(sim: Simulation) -> dict:
     sessions = []
     for node in sim.nodes.values():
-        for session in node.sessions.values():
-            sessions.append(
-                {
-                    "org": node.org.id,
-                    "session_id": session.session_id,
-                    "requester": session.requester.id,
-                    "request_tx": session.request_tx.hex(),
-                    "opened_at": session.opened_at,
-                    "ttl": session.ttl,
-                    "expired": False,
-                    "records": [dataclasses.asdict(r) for r in session.records],
-                }
-            )
-    live_ids = {s["session_id"] for s in sessions}
-    for request_tx, state in sim.requests.items():
-        if state.session_id and state.session_id not in live_ids:
-            sessions.append(
-                {
-                    "org": state.request.requester_org.id,
-                    "session_id": state.session_id,
-                    "requester": state.request.requester.id,
-                    "request_tx": request_tx.hex(),
-                    "opened_at": 0,
-                    "ttl": 0,
-                    "expired": True,
-                    "records": [],
-                }
-            )
+        for expired, held in ((False, node.sessions), (True, node.ended)):
+            for session in held.values():
+                sessions.append(
+                    {
+                        "org": node.org.id,
+                        "session_id": session.session_id,
+                        "requester": session.requester.id,
+                        "request_tx": session.request_tx.hex(),
+                        "opened_at": 0 if expired else session.opened_at,
+                        "ttl": 0 if expired else session.ttl,
+                        "expired": expired,
+                        "records": [dataclasses.asdict(r) for r in session.records],
+                    }
+                )
     sessions.sort(key=lambda s: s["session_id"])
 
     vaults = {

@@ -10,7 +10,7 @@ Transactions meet their payload type's rules (`policy.check_tx`) at
 submission, at each peer's admission, in each endorser's check of a
 proposal, and when a node takes a peer's block, against the state before
 the block. A proposer takes one pending transaction per fold entry; a
-commit drops (traced) the pending ones whose entry it wrote and that no
+commit checks every pending one again and drops (traced) those that no
 longer pass.
 
 Consensus is a minimal crash-fault round: the proposer for height h is the
@@ -36,6 +36,14 @@ request's block; a replay answers the requests it took once it ends, so
 the node decides against the state it has caught up to. Off-chain
 messages carry only what the chain cannot: the records of an allowed
 request, and the match fan-out's salts.
+
+Each fact of a data request lives on the node that owns it. The sender
+organization's node keeps its decision (`Node.decisions`); the requester
+organization's node keeps the session, live in `Node.sessions` and, once
+expired, in `Node.ended` without its records. A node judges `records`
+against the request in its own mempool or chain, and the session's
+requester is the request's. No node handler reads simulator-wide request
+state; `request_outcome` reads the nodes.
 """
 
 from __future__ import annotations
@@ -149,7 +157,12 @@ class Node:
     policy: PolicyState = field(default_factory=PolicyState)
     consent: ConsentState = field(default_factory=ConsentState)
     store: OffChainStore = None  # type: ignore[assignment]
+    # This node's decisions, as sender organization, by request tx id.
+    decisions: dict[bytes, Decision] = field(default_factory=dict)
+    # Sessions at this node, as requester organization, by id: live, and
+    # ended (kept without their records).
     sessions: dict[str, Session] = field(default_factory=dict)
+    ended: dict[str, Session] = field(default_factory=dict)
     # Pending transactions by id, in arrival order.
     mempool: dict[bytes, Transaction] = field(default_factory=dict)
     parked: list[tuple[str, dict]] = field(default_factory=list)
@@ -183,14 +196,14 @@ class RoundState:
     endorsements: dict[str, bytes] = field(default_factory=dict)
 
 
-@dataclass
-class RequestState:
-    """A data request this simulation started. Its session, once opened, is
-    at the request's `requester_org`."""
+def _request(node: Node, tx_id: bytes) -> Optional[DataRequestRecorded]:
+    """The data request `tx_id` names in `node`'s mempool or chain, if any."""
+    tx = node.mempool.get(tx_id) or node.ledger.find_tx(tx_id)
+    return tx.payload if tx is not None and isinstance(tx.payload, DataRequestRecorded) else None
 
-    request: DataRequestRecorded
-    decision: Optional[Decision] = None
-    session_id: Optional[str] = None
+
+def _session_id(request_tx_id: bytes) -> str:
+    return "s" + request_tx_id.hex()[:12]
 
 
 @dataclass
@@ -225,7 +238,6 @@ class Simulation:
         self.hosted: dict[str, set[str]] = {}
         self.identity_rows: dict[str, VaultRow] = {}
         self.quizzes: dict[str, Quiz] = {}
-        self.requests: dict[bytes, RequestState] = {}
         # A finished match keeps only its sorted result.
         self.matches: dict[int, MatchState | tuple[str, ...]] = {}
         self.round: Optional[RoundState] = None
@@ -337,15 +349,13 @@ class Simulation:
         if sync:
             detail["sync"] = True
         self._trace("block_committed", detail)
-        # Only a write to its own entry can turn a valid pending tx invalid, so
-        # every pending tx passes the rules against the node's current state.
-        if node.mempool:
-            written = {tx.payload.key() for tx in block.transactions} - {None}
-            for tx in [tx for tx in node.mempool.values() if tx.payload.key() in written]:
-                violation = check_tx(node.policy, node.consent, tx)
-                if violation is not None:
-                    del node.mempool[tx.tx_id]
-                    self._trace("tx_dropped", {"org": node.org.id, "tx": tx.tx_id.hex(), "rule": violation.rule})
+        # Every pending tx is checked again, so every one passes the rules
+        # against the node's current state.
+        for tx in list(node.mempool.values()):
+            violation = check_tx(node.policy, node.consent, tx)
+            if violation is not None:
+                del node.mempool[tx.tx_id]
+                self._trace("tx_dropped", {"org": node.org.id, "tx": tx.tx_id.hex(), "rule": violation.rule})
         for tx in block.transactions:
             payload = tx.payload
             if (
@@ -736,9 +746,7 @@ class Simulation:
         payload = DataRequestRecorded(
             requester, requester_org, sender_org, patient, category, emergency
         )
-        tx = self._sign_and_submit(node, requester, requester_org, payload)
-        self.requests[tx.tx_id] = RequestState(payload)
-        return tx.tx_id
+        return self._sign_and_submit(node, requester, requester_org, payload).tx_id
 
     def _answer_requests(self, node: Node, blocks: list[Block]) -> None:
         """Answer each data request in the committed `blocks` whose sender
@@ -761,9 +769,7 @@ class Simulation:
             at=self.clock,
             emergency=payload.emergency,
         )
-        state = self.requests.get(request_tx_id)
-        if state is not None:
-            state.decision = decision
+        node.decisions[request_tx_id] = decision
         detail = {
             "org": node.org.id,
             "request": request_tx_id.hex(),
@@ -799,29 +805,29 @@ class Simulation:
                     "type": "records",
                     "request_tx_id": request_tx_id,
                     "records": list(records),
-                    "requester": payload.requester,
                 },
             )
 
     def _on_records(self, node: Node, from_org: str, message: dict) -> None:
-        """Open a session at the request's requester organization, for records
-        from its sender organization; drop any other `records` message."""
+        """Open a session for the request's requester, when `node` holds the
+        request, is its requester organization and the records come from its
+        sender organization; drop any other `records` message."""
         request_tx_id: bytes = message["request_tx_id"]
-        state = self.requests.get(request_tx_id)
-        if state is None or (node.org, from_org) != (state.request.requester_org, state.request.sender_org.id):
-            self._drop(node, "records", "not_author" if state else "unknown", from_org)
+        request = _request(node, request_tx_id)
+        if request is None or (node.org, from_org) != (request.requester_org, request.sender_org.id):
+            self._drop(node, "records", "not_author" if request else "unknown", from_org)
             return
-        session_id = "s" + request_tx_id.hex()[:12]
+        session_id = _session_id(request_tx_id)
         session = Session(
             session_id=session_id,
             request_tx=request_tx_id,
-            requester=message["requester"],
+            requester=request.requester,
             records=list(message["records"]),
             opened_at=self.clock,
             ttl=self.config.session_ttl,
         )
         node.sessions[session_id] = session
-        state.session_id = session_id
+        node.ended.pop(session_id, None)
         self._trace(
             "session_opened",
             {
@@ -838,17 +844,19 @@ class Simulation:
         session = node.sessions.get(session_id)
         if session is None or not session.expired(self.clock):
             return
-        del node.sessions[session_id]
+        node.ended[session_id] = replace(node.sessions.pop(session_id), records=[])
         self._trace("session_expired", {"org": org_id, "session": session_id})
 
     def request_outcome(self, request_tx_id: bytes) -> RequestOutcome:
-        state = self.requests.get(request_tx_id)
-        if state is None:
+        """The decision at the request's sender organization and the live
+        session at its requester organization, for a data request any node
+        holds."""
+        request = next(filter(None, (_request(node, request_tx_id) for node in self.nodes.values())), None)
+        if request is None:
             raise SimError("unknown request")
-        session = None
-        if state.session_id is not None:
-            session = self.nodes[state.request.requester_org.id].sessions.get(state.session_id)
-        return RequestOutcome(request_tx_id, state.decision, session)
+        decision = self.nodes[request.sender_org.id].decisions.get(request_tx_id)
+        session = self.nodes[request.requester_org.id].sessions.get(_session_id(request_tx_id))
+        return RequestOutcome(request_tx_id, decision, session)
 
     def timeline_for(
         self, practitioner_id: str, window: Optional[tuple[int, int]] = None

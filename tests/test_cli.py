@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, byte-stable outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from careledger.ledger import Kind, PrincipalId, RegisterPrincipal, read_ledger,
 from conftest import FIXTURES, build_care_sim, rule_breaking_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+STATE_PIN = "530a365452c726c8b6b3bd3146d785ce69aa916e62ad39da3f45c8afd796f24f"
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,31 @@ class TestTimeline:
         err = capsys.readouterr().err
         assert code == 1
         assert "expired" in err
+
+    def test_state_with_an_expired_and_a_live_session_is_pinned(self, tmp_path, capsys):
+        """The bytes of `state.json` when one session has expired and a
+        later request's session is live, as the simulator wrote them when
+        the request table was still simulator-wide."""
+        script = tmp_path / "expire.scn"
+        script.write_text(
+            "org add hospital\norg add homecare\n"
+            "practitioner add nurse1 homecare\npatient add p001\n"
+            "plan create plan1 p001 hospital homecare\nbind nurse1 plan1\n"
+            'record add hospital p001 vitals 10 "BP 1" x\n'
+            "grant p001 plan1 nurse1 vitals 0 99999999\n"
+            "tick 2000\n"
+            "request nurse1@homecare hospital p001 vitals\n"
+            "tick 2000\n"
+            "tick 700000\n"  # past the first session's ttl
+            "request nurse1@homecare hospital p001 vitals\n"
+            "tick 2000\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(script), "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        state = (out / STATE_FILE).read_bytes()
+        assert [row["expired"] for row in json.loads(state)["sessions"]] == [True, False]
+        assert hashlib.sha256(state).hexdigest() == STATE_PIN
 
     def test_unknown_outdir_exit_2(self, tmp_path):
         assert main(["timeline", str(tmp_path / "missing"), "nurse1"]) == 2

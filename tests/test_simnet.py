@@ -565,6 +565,35 @@ class TestRecordsDrops:
         assert all(not node.sessions for node in sim.nodes.values())
         assert sim.request_outcome(outcome.request_tx).session is None
 
+    def test_the_sender_cannot_relabel_a_session(self):
+        """A session's requester is its request's, whatever a `records`
+        message names: a second delivery from the sender that names another
+        practitioner shows that practitioner nothing."""
+        sim = build_care_sim()
+        sim.add_record("hospital", "p001", Category.VITALS, 10, "BP 132/85", "x")
+        sim.tick(1500)
+        outcome = submit_request(
+            sim, P(Kind.PRACTITIONER, "nurse1"), P(Kind.ORGANIZATION, "homecare"),
+            P(Kind.ORGANIZATION, "hospital"), P(Kind.PATIENT, "p001"), Category.VITALS,
+        )
+        assert outcome.decision.verdict.value == "allow"
+        message = {"type": "records", "request_tx_id": outcome.request_tx, "records": list(outcome.session.records),
+                   "requester": P(Kind.PRACTITIONER, "drjones")}
+        sim._schedule(0, "deliver", ("hospital", "homecare", message))
+        sim.settle()
+        assert sim.timeline_for("drjones") == []
+        assert [e.value for e in sim.timeline_for("nurse1")] == ["BP 132/85"]
+
+
+class TestRequestOutcome:
+    def test_an_id_that_names_no_data_request_is_unknown(self):
+        sim = build_care_sim()
+        ledger = sim.nodes["hospital"].ledger
+        grant = next(tx for _, _, tx in ledger.transactions() if isinstance(tx.payload, GrantAccess))
+        for tx_id in (bytes(range(32)), grant.tx_id):
+            with pytest.raises(SimError, match="^unknown request$"):
+                sim.request_outcome(tx_id)
+
 
 class TestFork:
     def test_fork_is_independent(self):
