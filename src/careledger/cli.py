@@ -41,6 +41,8 @@ from .simnet import SYNTHETIC_NAMES, SimConfig, Simulation
 STATE_FILE = "state.json"
 TRACE_FILE = "trace.tsv"
 OUTPUT_FILE = "outputs.txt"
+# The simulator settings `run` takes as options, beside --seed.
+_SIM_SETTINGS = [f for f in dataclasses.fields(SimConfig) if f.name != "seed"]
 
 
 class _Exit(Exception):
@@ -128,13 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CARELEDGER_SEED", "0"))
-    config = SimConfig(
-        seed=seed,
-        latency_min=args.latency_min,
-        latency_max=args.latency_max,
-        block_interval=args.block_interval,
-        session_ttl=args.session_ttl,
-    )
+    config = SimConfig(seed=seed, **{f.name: getattr(args, f.name) for f in _SIM_SETTINGS})
     sim, outputs = run_scenario(script_path.read_text(), config, base_dir=script_path.parent)
     out_dir = Path(args.out)
     try:
@@ -286,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("script")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--latency-min", type=int, default=10)
-    p_run.add_argument("--latency-max", type=int, default=100)
-    p_run.add_argument("--block-interval", type=int, default=1000)
-    p_run.add_argument("--session-ttl", type=int, default=600_000)
+    for f in _SIM_SETTINGS:
+        p_run.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="validate a persisted ledger")

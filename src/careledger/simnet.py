@@ -37,13 +37,18 @@ the node decides against the state it has caught up to. Off-chain
 messages carry only what the chain cannot: the records of an allowed
 request, and the match fan-out's salts.
 
-Each fact of a data request lives on the node that owns it. The sender
-organization's node keeps its decision (`Node.decisions`); the requester
-organization's node keeps the session, live in `Node.sessions` and, once
-expired, in `Node.ended` without its records. A node judges `records`
-against the request in its own mempool or chain, and the session's
-requester is the request's. No node handler reads simulator-wide request
-state; `request_outcome` reads the nodes.
+Each node keeps the protocol state it owns. The proposer keeps its round
+(`Node.round`): only the endorsements it receives count. The researcher's
+node keeps its matches (`Node.matches`), and drops a reply for a match it
+does not run as `unknown`. The sender organization's node keeps its
+decision (`Node.decisions`); the requester organization's node keeps the
+session, live in `Node.sessions` and, once expired, in `Node.ended`
+without its records. A node judges `records` against the request in its
+own mempool or chain, and the session's requester is the request's. The
+reads across nodes that remain are `_replay`'s copy of a peer's chain, the
+pacemaker (the proposer's turn, one round at a time, the `online` flags)
+and the observers: `request_outcome`, `match_result`, `timeline_for` and
+`consent_dashboard`.
 """
 
 from __future__ import annotations
@@ -171,6 +176,10 @@ class Node:
     profile_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
     # The same salts by descriptor: descriptor -> participant id -> salt.
     descriptor_salts: dict[str, dict[str, bytes]] = field(default_factory=dict)
+    # The round this node proposes, while it runs.
+    round: Optional[RoundState] = None
+    # The matches this node runs, by id; a finished one keeps only its sorted result.
+    matches: dict[int, MatchState | tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.store is None:
@@ -190,7 +199,6 @@ def _sealed(block: Block, endorsements: dict[str, bytes]) -> Block:
 @dataclass
 class RoundState:
     round_id: int
-    proposer: str
     block: Block
     needed: int
     endorsements: dict[str, bytes] = field(default_factory=dict)
@@ -208,7 +216,6 @@ def _session_id(request_tx_id: bytes) -> str:
 
 @dataclass
 class MatchState:
-    match_id: int
     descriptors: tuple[str, ...]
     # Host organization -> the participant ids it has yet to answer for; a
     # host's reply is the only one that counts for its participants.
@@ -238,9 +245,6 @@ class Simulation:
         self.hosted: dict[str, set[str]] = {}
         self.identity_rows: dict[str, VaultRow] = {}
         self.quizzes: dict[str, Quiz] = {}
-        # A finished match keeps only its sorted result.
-        self.matches: dict[int, MatchState | tuple[str, ...]] = {}
-        self.round: Optional[RoundState] = None
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._eseq = 0
         self._seq = 0
@@ -411,7 +415,8 @@ class Simulation:
         return basis if online >= quorum(len(members)) else None
 
     def _maybe_schedule_attempt(self) -> None:
-        if self.round is not None or self._attempt_scheduled:
+        # The pacemaker runs one round at a time, whichever node proposes it.
+        if self._attempt_scheduled or any(n.round is not None for n in self.nodes.values()):
             return
         if not any(n.online and n.mempool for n in self.nodes.values()) or self._quorum_basis() is None:
             return
@@ -421,7 +426,7 @@ class Simulation:
 
     def _ev_consensus_attempt(self) -> None:
         self._attempt_scheduled = False
-        basis = self._quorum_basis() if self.round is None else None
+        basis = None if any(n.round is not None for n in self.nodes.values()) else self._quorum_basis()
         if basis is None:
             return
         members = basis.policy.principals.members
@@ -443,8 +448,7 @@ class Simulation:
             proposer.policy.principals,
         )
         self._round_ids += 1
-        state = RoundState(self._round_ids, proposer.org.id, block, quorum(len(members)))
-        self.round = state
+        state = proposer.round = RoundState(self._round_ids, block, quorum(len(members)))
         self._trace_proposed(block)
         # The proposer endorses locally; the other online members by message.
         # Ed25519 is deterministic, so its endorsement doubles as its
@@ -466,13 +470,14 @@ class Simulation:
         # A round needs a propose + endorse round trip before it can commit;
         # the timeout must cover that even when the interval undercuts it.
         patience = max(self.config.block_interval, 3 * self.config.latency_max)
-        self._schedule(patience, "round_timeout", (state.round_id,))
-        self._check_round_commit()
+        self._schedule(patience, "round_timeout", (proposer.org.id, state.round_id))
+        self._check_round_commit(proposer)
 
-    def _ev_round_timeout(self, round_id: int) -> None:
-        if self.round is None or self.round.round_id != round_id:
+    def _ev_round_timeout(self, org_id: str, round_id: int) -> None:
+        node = self.nodes[org_id]
+        if node.round is None or node.round.round_id != round_id:
             return
-        self.round = None
+        node.round = None
         self._maybe_schedule_attempt()
 
     def _trace_proposed(self, block: Block) -> None:
@@ -483,21 +488,18 @@ class Simulation:
         self._trace("block_endorsed", {"height": block.height, "org": node.org.id})
         return endorse_block(block, self.private_keys[node.org])
 
-    def _check_round_commit(self) -> None:
-        state = self.round
+    def _check_round_commit(self, node: Node) -> None:
+        state = node.round
         if state is None or len(state.endorsements) < state.needed:
             return
-        self.round = None
+        node.round = None
         final = _sealed(state.block, state.endorsements)
-        proposer = self.nodes[state.proposer]
-        members = [m.id for m in proposer.policy.principals.members]
-        self._commit(proposer, final)
+        members = [m.id for m in node.policy.principals.members]
+        self._commit(node, final)
         for org_id in members:
-            if org_id == state.proposer:
-                continue
-            node = self.nodes.get(org_id)
-            if node is not None and node.online:
-                self._send(state.proposer, org_id, {"type": "commit", "block": final})
+            peer = self.nodes.get(org_id)
+            if peer is not None and peer is not node and peer.online:
+                self._send(node.org.id, org_id, {"type": "commit", "block": final})
 
     # -- message handlers -------------------------------------------------------
 
@@ -548,8 +550,8 @@ class Simulation:
         )
 
     def _on_endorse(self, node: Node, from_org: str, message: dict) -> None:
-        state = self.round
-        if state is None or state.round_id != message["round_id"] or state.proposer != node.org.id:
+        state = node.round
+        if state is None or state.round_id != message["round_id"]:
             return
         org: PrincipalId = message["org"]
         key = node.policy.principals.get(org)
@@ -559,7 +561,7 @@ class Simulation:
             dropped = "endorsement"  # the block rule a non-member's endorsement breaks
         else:
             state.endorsements[org.id] = message["sig"]
-            self._check_round_commit()
+            self._check_round_commit(node)
             return
         self._drop(node, "endorse", dropped)
 
@@ -967,12 +969,12 @@ class Simulation:
             raise SimError(f"node {via.org.id} is offline; cannot start a match")
         self._match_ids += 1
         match_id = self._match_ids
-        state = MatchState(match_id, tuple(descriptors))
+        state = MatchState(tuple(descriptors))
         visible = via.consent.visible(study)
         for host, ids in self.hosted.items():
             if named := ids & visible:
                 state.outstanding[host] = named
-        self.matches[match_id] = state if state.outstanding else ()
+        via.matches[match_id] = state if state.outstanding else ()
         # One challenge per host organization, naming its participants (a
         # copy: the pending set shrinks as replies arrive).
         for host in sorted(state.outstanding):
@@ -1020,9 +1022,12 @@ class Simulation:
         column is hashed, and its check stops at the first salt that fails.
         A reply counts only for participants still pending at its sender; one
         naming a participant pending at another host is traced as
-        `not_author`, and that participant stays pending."""
-        state = self.matches.get(message["match_id"])
+        `not_author`, and that participant stays pending. A reply for a match
+        `node` does not run is traced as `unknown`."""
+        state = node.matches.get(message["match_id"])
         if not isinstance(state, MatchState):
+            if state is None:
+                self._drop(node, "match_response", "unknown", from_org)
             return
         named = frozenset(message["participants"])
         forged = any(not ids.isdisjoint(named) for host, ids in state.outstanding.items() if host != from_org)
@@ -1042,12 +1047,12 @@ class Simulation:
             ):
                 state.matched.add(pid)
         if not state.outstanding:
-            self.matches[state.match_id] = tuple(sorted(state.matched))
+            node.matches[message["match_id"]] = tuple(sorted(state.matched))
         if forged:
             self._drop(node, "match_response", "not_author", from_org)
 
     def match_result(self, match_id: int) -> list[str]:
-        state = self.matches.get(match_id)
+        state = next((n.matches[match_id] for n in self.nodes.values() if match_id in n.matches), None)
         if state is None:
             raise SimError("unknown match")
         if isinstance(state, MatchState):

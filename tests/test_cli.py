@@ -253,6 +253,19 @@ class TestShredCheck:
     def test_unknown_org_exit_2(self, shred_out):
         assert main(["shred-check", str(shred_out), "nowhere"]) == 2
 
+    def test_an_identifiers_file_naming_a_true_id_is_linkable_exit_1(self, shred_out, tmp_path, capsys):
+        true_id = json.loads((shred_out / STATE_FILE).read_text())["vaults"]["homecare"]["p001"]["true_id"]
+        names = tmp_path / "names.txt"
+        names.write_text(f"Nobody Known\n{true_id}\n")
+        assert main(["shred-check", str(shred_out), "homecare", "--identifiers", str(names)]) == 1
+        assert capsys.readouterr().out == f"linkable: p001 -> {true_id!r} via homecare's vault\n"
+
+    def test_an_identifiers_file_of_unknown_names_is_unlinkable_exit_0(self, shred_out, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("Nobody Known\n\n  Someone Else  \n")
+        assert main(["shred-check", str(shred_out), "homecare", "--identifiers", str(names)]) == 0
+        assert capsys.readouterr().out == "unlinkable: homecare cannot re-derive any on-chain commitment\n"
+
     def test_scans_only_a_chain_that_validates(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", str(FIXTURES / "shred.scn"), "--seed", "6", "--out", str(out)]) == 0

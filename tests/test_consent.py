@@ -613,7 +613,7 @@ class TestProfilesAndMatching:
         sim.settle()
         assert [sim.match_result(m) for m in ids] == [sorted(match_oracle(profiles, set(q))) for q in queries]
         # No emptied `outstanding` dict or `matched` set stays behind.
-        assert all(type(sim.matches[m]) is tuple for m in ids)
+        assert all(type(sim.nodes["uni"].matches[m]) is tuple for m in ids)
         # A late reply to a finished match changes nothing and is not traced.
         events = len(sim.trace)
         sim._on_match_response(sim.nodes["uni"], "uni", _response(ids[0], {"A": None, "B": None}))
@@ -712,7 +712,23 @@ class TestMatchBatches:
             sim.start_match("drx", ["x"])
         sim.settle()
         assert not any(e.detail.get("type", "").startswith("match_") for e in sim.trace[start:])
-        assert sim.matches == {}
+        assert all(node.matches == {} for node in sim.nodes.values())
+
+    def test_a_misrouted_reply_changes_nothing(self):
+        """A host's honest reply delivered to a node that never started the
+        match is dropped there; the match waits for the reply to its node."""
+        sim = hosted_sim({"biobank": {"A": ({"x"}, True)}}, researcher_at="uni")
+        m = sim.start_match("drx", ["x"])
+        salt = sim.nodes["biobank"].profile_salts["A"]["x"]
+        start = len(sim.trace)
+        sim._schedule(0, "deliver", ("biobank", "clinic", _response(m, {"A": {"x": salt}})))
+        sim.tick(0)
+        with pytest.raises(SimError, match="match still outstanding"):
+            sim.match_result(m)
+        dropped = [e.detail for e in sim.trace[start:] if e.kind == "msg_delivered" and "dropped" in e.detail]
+        assert dropped == [{"to": "clinic", "from": "biobank", "type": "match_response", "dropped": "unknown"}]
+        sim.settle()
+        assert sim.match_result(m) == ["A"]
 
     @pytest.mark.parametrize("per_host", [1, 5])
     def test_one_challenge_and_one_response_per_host(self, per_host):

@@ -147,6 +147,31 @@ class TestSessions:
         )
         assert sim.timeline_for("nurse1") == []
 
+    def test_a_reopened_session_lives_to_its_own_ttl(self):
+        """A second `records` delivery opens the session again: it outlives
+        its first timer and expires once, at its second TTL."""
+        sim = build_care_sim()
+        sim.add_record("hospital", "p001", Category.VITALS, 10, "BP 132/85", "x")
+        sim.tick(1500)
+        outcome = _request(sim)
+        sid, first = outcome.session.session_id, outcome.session.opened_at
+        homecare, reopen = sim.nodes["homecare"], sim.clock + 100_000
+        sim.tick(100_000)
+        message = {"type": "records", "request_tx_id": outcome.request_tx, "records": list(outcome.session.records)}
+        sim._schedule(0, "deliver", ("hospital", "homecare", message))
+        sim.tick(0)
+        second = homecare.sessions[sid].opened_at
+        assert second == reopen > first
+        ttl = sim.config.session_ttl
+        sim.tick(first + ttl - sim.clock)
+        assert sid in homecare.sessions and sid not in homecare.ended
+        assert [e.value for e in sim.timeline_for("nurse1")] == ["BP 132/85"]
+        sim.tick(second + ttl - sim.clock)
+        assert sid not in homecare.sessions
+        assert homecare.ended[sid].records == []
+        expired = [e for e in sim.trace if e.kind == "session_expired" and e.detail["session"] == sid]
+        assert [e.at for e in expired] == [second + ttl]
+
 
 def _entry(measured_at, org, rid, value="v"):
     return RecordEntry(

@@ -261,6 +261,12 @@ class TestScenarioScripts:
             run_scenario(script, SimConfig(seed=1))
         assert err.value.line_no == 2
 
+    def test_unknown_fault_kind_is_script_error_with_line(self):
+        script = "org add hospital\norg add homecare\nfault hospital sideways\n"
+        with pytest.raises(ScriptError, match="^line 3: unknown fault kind 'sideways'$") as err:
+            run_scenario(script, SimConfig(seed=1))
+        assert err.value.line_no == 3
+
     def test_bind_must_follow_plan_create(self):
         script = "org add a\npatient add p1\npractitioner add w1 a\nbind w1 plan1\n"
         with pytest.raises(ScriptError) as err:
@@ -321,11 +327,12 @@ class TestForgeryResistance:
         sim.register_person(Kind.PATIENT, "p1")
         # Let the proposal go out, then slip in a forged endorsement.
         sim.tick(sim.config.block_interval + 1)
-        state = sim.round
-        if state is None:  # round may have finished already at low latency
+        proposer = next((n.org.id for n in sim.nodes.values() if n.round is not None), None)
+        if proposer is None:  # round may have finished already at low latency
             pytest.skip("round completed before interference was possible")
+        state = sim.nodes[proposer].round
         forged = {"type": "endorse", "round_id": state.round_id, "org": P(Kind.ORGANIZATION, "b"), "sig": bytes(64)}
-        sim._schedule(0, "deliver", ("b", state.proposer, forged))
+        sim._schedule(0, "deliver", ("b", proposer, forged))
         sim.settle()
         dropped = [
             e for e in sim.trace
@@ -342,19 +349,41 @@ class TestForgeryResistance:
         sim.settle()
         sim.register_person(Kind.PATIENT, "p2")
         sim.tick(sim.config.block_interval + 1)
-        state = sim.round
-        assert state is not None
+        (proposer,) = [n.org.id for n in sim.nodes.values() if n.round is not None]
+        state = sim.nodes[proposer].round
         # p1's key is on file and really signs the round's block hash, but
         # p1 is no member organization.
         p1 = P(Kind.PATIENT, "p1")
         sig = crypto.sign(sim.private_keys[p1], state.block.hash)
         message = {"type": "endorse", "round_id": state.round_id, "org": p1, "sig": sig}
-        sim._schedule(0, "deliver", ("b", state.proposer, message))
+        sim._schedule(0, "deliver", ("b", proposer, message))
         sim.settle()
         dropped = [e.detail for e in sim.trace if e.kind == "msg_delivered" and "dropped" in e.detail]
-        assert dropped == [{"to": state.proposer, "type": "endorse", "dropped": "endorsement"}]
+        assert dropped == [{"to": proposer, "type": "endorse", "dropped": "endorsement"}]
         assert sim.nodes["a"].ledger.height == 2
         assert validate_chain(sim.nodes["a"].ledger).ok
+
+    def test_an_endorsement_at_a_node_that_runs_no_round_is_ignored(self):
+        sim = spawn_network(["a", "b", "c"], SimConfig(seed=3))
+        sim.register_person(Kind.PATIENT, "p1")
+        sim.tick(sim.config.block_interval + 1)
+        (proposed,) = [e.detail for e in sim.trace if e.kind == "block_proposed" and e.detail["height"] == 1]
+        endorser, target = sorted({"a", "b", "c"} - {proposed["proposer"]})
+        # A valid member endorsement of the live round's block, sent to a
+        # member that does not propose it.
+        sig = crypto.sign(sim.private_keys[P(Kind.ORGANIZATION, endorser)], bytes.fromhex(proposed["hash"]))
+        message = {"type": "endorse", "round_id": sim._round_ids, "org": P(Kind.ORGANIZATION, endorser), "sig": sig}
+        start = len(sim.trace)
+        sim._schedule(0, "deliver", (endorser, target, message))
+        sim.tick(0)
+        assert [(e.kind, e.detail) for e in sim.trace[start:]] == [
+            ("msg_delivered", {"from": endorser, "to": target, "type": "endorse"})
+        ]
+        sim.settle()
+        assert not any(e.kind == "msg_delivered" and "dropped" in e.detail for e in sim.trace)
+        committed = [e.detail for e in sim.trace if e.kind == "block_committed" and e.detail["height"] == 1]
+        assert sorted(d["org"] for d in committed) == ["a", "b", "c"]
+        assert {d["hash"] for d in committed} == {proposed["hash"]}
 
     @pytest.mark.parametrize(
         "forge, rule",
