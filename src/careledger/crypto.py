@@ -25,6 +25,13 @@ from the seed's cached secret key, which only `crypto_sign_seed_keypair`
 fills, so it matches the seed. A forged or tampered input is a different memo
 key and still reaches libsodium, and a fresh process verifies every signature
 it reads through libsodium.
+
+`verify_many` verifies a batch across the CPUs the process may run on:
+libsodium runs with the GIL released, so one thread per CPU checks its share
+at once. `validate_chain` hands it the signatures of the blocks it is about
+to check, so a fresh process verifies a ledger's signatures in parallel. A
+verdict depends only on the bytes, so it is the one `verify` gives, and the
+reports built on it do not change.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import hashlib
+import os
 import random
+import threading
 
 SALT_LEN = 16
 SIGNATURE_LEN = 64
@@ -74,6 +83,9 @@ _verify_detached = _foreign("crypto_sign_verify_detached", _BUF, _BUF, _LEN, _BU
 _signer_cache: dict[bytes, bytes] = {}
 _verify_memo: dict[tuple[bytes, bytes, bytes], bool] = {}
 _VERIFY_MEMO_LIMIT = 250_000
+# `verify_many` gives each thread at least this many triples; a smaller batch
+# is verified inline.
+_SHARE_MIN = 8
 # The identity point (0, 1) as an encoded R.
 _IDENTITY_R = bytes([1]) + bytes(KEY_LEN - 1)
 
@@ -110,10 +122,21 @@ def sign(private: bytes, message: bytes) -> bytes:
     signature = out.raw
     # Strict verification refuses an honest signature only when R is the identity.
     if signature[:KEY_LEN] != _IDENTITY_R:
-        if len(_verify_memo) >= _VERIFY_MEMO_LIMIT:
-            _verify_memo.clear()
-        _verify_memo[(secret[KEY_LEN:], signature, message)] = True
+        _remember((secret[KEY_LEN:], signature, message), True)
     return signature
+
+
+def _remember(memo_key: tuple[bytes, bytes, bytes], ok: bool) -> None:
+    if len(_verify_memo) >= _VERIFY_MEMO_LIMIT:
+        _verify_memo.clear()
+    _verify_memo[memo_key] = ok
+
+
+def _verdict(public: bytes, signature: bytes, message: bytes) -> bool:
+    """libsodium's strict verdict, unmemoized; False for a wrong-length key or signature."""
+    if len(public) != KEY_LEN or len(signature) != SIGNATURE_LEN:
+        return False
+    return _verify_detached(signature, message, len(message), public) == 0
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:
@@ -121,13 +144,47 @@ def verify(public: bytes, signature: bytes, message: bytes) -> bool:
     cached = _verify_memo.get(memo_key)
     if cached is not None:
         return cached
-    if len(public) != KEY_LEN or len(signature) != SIGNATURE_LEN:
-        return False
-    ok = _verify_detached(signature, message, len(message), public) == 0
-    if len(_verify_memo) >= _VERIFY_MEMO_LIMIT:
-        _verify_memo.clear()
-    _verify_memo[memo_key] = ok
+    ok = _verdict(public, signature, message)
+    _remember(memo_key, ok)
     return ok
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def verify_many(triples: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
+    """`verify`'s verdict on each (public key, signature, message) triple, in order.
+
+    The distinct triples not yet in the memo are split into one share per
+    CPU the process may run on, each of at least `_SHARE_MIN` triples: the
+    calling thread verifies the first share and one thread each verifies
+    the others. Every thread is joined before this returns, and only the
+    calling thread writes the memo.
+    """
+    verdicts = {t: _verify_memo.get(t) for t in triples}
+    todo = [t for t, ok in verdicts.items() if ok is None]
+    n = min(_cpu_count(), len(todo) // _SHARE_MIN) or 1
+    shares = [todo[i::n] for i in range(n)]
+    results: list = [None] * n  # a share whose thread raised stays None and fails the merge
+
+    def run(i: int) -> None:
+        results[i] = [_verdict(*t) for t in shares[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, n)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for share, oks in zip(shares, results):
+        for t, ok in zip(share, oks):
+            verdicts[t] = ok
+            _remember(t, ok)
+    return [verdicts[t] for t in triples]
 
 
 def new_salt(rng: random.Random) -> bytes:

@@ -460,16 +460,23 @@ def verify_tx(tx: Transaction, registry: dict[PrincipalId, bytes]) -> VerifyResu
     """
     if tx.signature is None:
         return VerifyResult(False, "missing_signature")
+    key = _signing_key(tx, registry)
+    if key is None:
+        return VerifyResult(False, "unknown_author")
+    if crypto.verify(key, tx.signature, tx.tx_id):
+        return VerifyResult(True, "ok")
+    return VerifyResult(False, "bad_signature")
+
+
+def _signing_key(tx: Transaction, registry: dict[PrincipalId, bytes]) -> Optional[bytes]:
+    """The author's key on file, else the payload's key when `tx` registers
+    its own author; None when there is neither."""
     key = registry.get(tx.author)
     if key is None:
         p = tx.payload
         if isinstance(p, RegisterPrincipal) and p.subject == tx.author:
-            key = p.public_key
-        else:
-            return VerifyResult(False, "unknown_author")
-    if crypto.verify(key, tx.signature, tx.tx_id):
-        return VerifyResult(True, "ok")
-    return VerifyResult(False, "bad_signature")
+            return p.public_key
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +794,14 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
     members, in fold order, which a dict and a list keep. The kept prefix is
     replaced only when a call finds valid blocks past the part it shares, so
     a chain that fails early does not discard a longer valid one.
+
+    The blocks it checks go in windows that double in size. The first is
+    checked alone, since a damaged chain almost always fails there. Before
+    each later window, `crypto.verify_many` verifies, across the CPUs the
+    process may run on, the signatures `check_block` would verify if every
+    block of the window passed, so a fresh process checks a ledger's
+    signatures in parallel. `check_block` still judges each block in order,
+    and the verdicts depend only on the bytes, so the report is unchanged.
     """
     global _VALIDATED
     blocks = ledger.blocks
@@ -804,7 +819,11 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
         registry.members = folded.members[:members]
     prev = blocks[shared - 1] if shared else None
     report, valid, grown = ValidationReport(True), len(blocks), []
+    window, size = shared + 1, 2  # the first checked block is checked alone
     for height in range(shared, len(blocks)):
+        if height == window:
+            crypto.verify_many(_signatures(blocks[window : window + size], registry))
+            window, size = window + size, 2 * size
         block = blocks[height]
         violation = check_block(prev, block, registry)
         if violation is not None:
@@ -818,6 +837,25 @@ def validate_chain(ledger: LedgerState) -> ValidationReport:
     else:  # the same prefix as this chain's objects, so the next call matches it by identity
         _VALIDATED = (blocks[:shared] + kept[shared:], folded, counts)
     return report
+
+
+def _signatures(blocks: list[Block], registry: Registry) -> list[tuple[bytes, bytes, bytes]]:
+    """The (key, signature, message) triples that `check_block` verifies on
+    `blocks`, the blocks after those `registry` is folded from, if every one
+    of them passes. The keys come from a copy of `registry` folded block by
+    block, as the walk folds it."""
+    keys = Registry()
+    keys.update(registry)
+    triples = []
+    for block in blocks:
+        for tx in block.transactions:
+            key = _signing_key(tx, keys)
+            if key is not None and tx.signature is not None:
+                triples.append((key, tx.signature, tx.tx_id))
+        digest = block.hash
+        triples += [(keys[org], sig, digest) for org, sig in block.endorsements if org in keys]
+        keys.fold(block)
+    return triples
 
 
 # ---------------------------------------------------------------------------

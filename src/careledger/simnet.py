@@ -426,7 +426,7 @@ class Simulation:
 
     def _ev_consensus_attempt(self) -> None:
         self._attempt_scheduled = False
-        basis = None if any(n.round is not None for n in self.nodes.values()) else self._quorum_basis()
+        basis = self._quorum_basis()
         if basis is None:
             return
         members = basis.policy.principals.members

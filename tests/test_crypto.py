@@ -3,7 +3,10 @@
 import ctypes
 import ctypes.util
 import importlib.util
+import os
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -63,6 +66,19 @@ def _flip(data: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
+@pytest.fixture
+def foreign_verifies(monkeypatch):
+    calls = []
+    foreign = crypto._verify_detached
+
+    def counted(*args):
+        calls.append(args)
+        return foreign(*args)
+
+    monkeypatch.setattr(crypto, "_verify_detached", counted)
+    return calls
+
+
 class TestLoading:
     def test_missing_libsodium_is_an_import_error_naming_it(self, monkeypatch):
         def no_library(name, *args, **kwargs):
@@ -110,18 +126,6 @@ class TestAgainstOracle:
 
 class TestSigningSeedsTheMemo:
     """`sign` records its own verdict; every other input still reaches libsodium."""
-
-    @pytest.fixture
-    def foreign_verifies(self, monkeypatch):
-        calls = []
-        foreign = crypto._verify_detached
-
-        def counted(*args):
-            calls.append(args)
-            return foreign(*args)
-
-        monkeypatch.setattr(crypto, "_verify_detached", counted)
-        return calls
 
     def test_sign_adds_exactly_its_own_verdict(self):
         seed, public, message, signature = map(bytes.fromhex, RFC8032_TEST2)
@@ -202,3 +206,104 @@ class TestStrictVerification:
         result = verify_tx(tx, {nurse: IDENTITY_KEY})
         assert not result
         assert result.reason == "bad_signature"
+
+
+def _strict_cases() -> list[tuple[bytes, bytes, bytes]]:
+    """`TestStrictVerification`'s inputs, each beside the valid triple it is made from."""
+    _, public1, message1, signature1 = map(bytes.fromhex, RFC8032_TEST1)
+    _, public2, message2, signature2 = map(bytes.fromhex, RFC8032_TEST2)
+    s = int.from_bytes(signature2[32:], "little")
+    return [
+        (public1, signature1, message1),
+        (public2, signature2, message2),
+        (public2, signature2[:32] + (s + L).to_bytes(32, "little"), message2),
+        *[((public1 + b"\x00")[:n], signature1, message1) for n in (31, 33)],
+        *[(public1, (signature1 + b"\x00")[:n], message1) for n in (63, 65)],
+        *[(IDENTITY_KEY, IDENTITY_FORGERY, message) for message in MESSAGES],
+        (public2, signature2, _flip(message2, 3)),
+    ]
+
+
+def _signed(count: int) -> list[tuple[bytes, bytes, bytes]]:
+    rng = random.Random(count)
+    private, public = crypto.generate_keypair(rng)
+    return [(public, crypto.sign(private, n.to_bytes(4, "big")), n.to_bytes(4, "big")) for n in range(count)]
+
+
+class TestVerifyMany:
+    @pytest.fixture
+    def started(self, monkeypatch) -> list:
+        """The threads started from here on."""
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_verdicts_are_verifys(self, monkeypatch, cpus):
+        cases = _strict_cases()
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        expected = [crypto.verify(*case) for case in cases]
+        assert expected.count(True) == 2
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(crypto, "_SHARE_MIN", 1)
+        assert crypto.verify_many(cases) == expected
+        assert crypto._verify_memo == dict(zip(cases, expected))
+
+    def test_each_unknown_triple_reaches_libsodium_once(self, monkeypatch, foreign_verifies):
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(crypto, "_SHARE_MIN", 1)
+        signed = _signed(6)  # signing seeds the memo with these six
+        forged = [(public, _flip(signature, 300), message) for public, signature, message in signed]
+        assert crypto.verify_many(signed + forged + forged) == [True] * 6 + [False] * 12
+        assert sorted(foreign_verifies) == sorted((sig, message, len(message), public) for public, sig, message in forged)
+
+    def test_keeps_the_memo_limit(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_VERIFY_MEMO_LIMIT", 3)
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(crypto, "_SHARE_MIN", 1)
+        signed = _signed(10)
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        assert crypto.verify_many(signed) == [True] * 10
+        assert 1 <= len(crypto._verify_memo) <= 3
+
+    @pytest.mark.parametrize("cpus, count, threads", [(1, 100, 0), (4, 15, 0), (4, 16, 1), (4, 100, 3), (64, 40, 4)])
+    def test_threads_started(self, monkeypatch, started, cpus, count, threads):
+        """One thread for each share but the caller's, each share of at least `_SHARE_MIN` triples."""
+        assert crypto._SHARE_MIN == 8
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: cpus)
+        signed = _signed(count)
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        before = threading.active_count()
+        assert crypto.verify_many(signed) == [True] * count
+        assert len(started) == threads
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_more_threads_than_cpus_with_a_short_switch_interval(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(crypto, "_SHARE_MIN", 1)
+        signed = _signed(40)
+        cases = signed + [(public, _flip(signature, 300), message) for public, signature, message in signed]
+        expected = [True] * 40 + [False] * 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(crypto, "_verify_memo", {})
+                assert crypto.verify_many(cases) == expected
+                assert crypto._verify_memo == dict(zip(cases, expected))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_count_is_the_affinity_or_the_machine_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert crypto._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert crypto._cpu_count() == 3
+
+    def test_memo_hits_start_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: 4)
+        assert crypto.verify_many(_signed(100)) == [True] * 100
+        assert started == []

@@ -3,6 +3,7 @@
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -1122,6 +1123,135 @@ class TestValidateReuse:
         # longer valid prefix stays.
         assert validate_chain(ledger).ok
         assert checked == [j]
+
+
+def _walk_from_genesis(blocks: list[Block]) -> ledger_mod.ValidationReport:
+    """The report of a plain `check_block` walk from genesis."""
+    registry, prev = ledger_mod.Registry(), None
+    for block in blocks:
+        violation = ledger_mod.check_block(prev, block, registry)
+        if violation is not None:
+            return ledger_mod.ValidationReport(False, violation)
+        registry.fold(block)
+        prev = block
+    return ledger_mod.ValidationReport(True)
+
+
+def _bad_tx_signature(block: Block) -> Block:
+    last = block.transactions[-1]
+    return replace(block, transactions=(*block.transactions[:-1], replace(last, signature=bytes(64))))
+
+
+def _bad_endorsement(block: Block) -> Block:
+    org, sig = block.endorsements[-1]
+    return replace(block, endorsements=(*block.endorsements[:-1], (org, bytes([sig[0] ^ 1]) + sig[1:])))
+
+
+def _one_endorsement_fewer(block: Block) -> Block:
+    return replace(block, endorsements=block.endorsements[:-1])
+
+
+def _fixture_chain(name: str) -> list[Block]:
+    sim, _ = run_scenario((FIXTURES / f"{name}.scn").read_text(), SimConfig(seed=42), base_dir=FIXTURES)
+    return next(iter(sim.nodes.values())).ledger.blocks
+
+
+class TestValidateWindows:
+    """A cold `validate_chain` checks the first block alone, then verifies
+    each later window's signatures ahead with `crypto.verify_many`; the
+    report stays the one a plain walk from genesis gives."""
+
+    @pytest.fixture(params=["membership", "two_org", "case2"])
+    def blocks(self, request, monkeypatch) -> list[Block]:
+        """A chain, with threads forced on even for small batches. In
+        membership's chain every block registers a principal; in two_org's,
+        p001 registers at height 3 and signs at 5 and 6, in the window
+        [3, 6]; case2's reaches the window [7, 14]."""
+        if request.param == "two_org":
+            blocks = _two_org_chain()[1].blocks
+            assert len(blocks) == 7
+        else:
+            blocks = _fixture_chain(request.param)
+        if request.param == "membership":
+            assert all(any(isinstance(tx.payload, RegisterPrincipal) for tx in b.transactions) for b in blocks)
+        if request.param == "case2":
+            assert len(blocks) >= 15
+        monkeypatch.setattr(crypto, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(crypto, "_SHARE_MIN", 1)
+        return blocks
+
+    @staticmethod
+    def _cold(monkeypatch, blocks: list[Block]) -> ledger_mod.ValidationReport:
+        monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], ledger_mod.Registry(), []))
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        return validate_chain(LedgerState(list(blocks)))
+
+    @staticmethod
+    def _walk(monkeypatch, blocks: list[Block]) -> ledger_mod.ValidationReport:
+        """The plain walk's report, on a cold memo of its own."""
+        monkeypatch.setattr(crypto, "_verify_memo", {})
+        return _walk_from_genesis(blocks)
+
+    @staticmethod
+    def _foreign_calls(monkeypatch) -> list:
+        calls, foreign = [], crypto._verify_detached
+        monkeypatch.setattr(crypto, "_verify_detached", lambda *args: calls.append(args) or foreign(*args))
+        return calls
+
+    @pytest.mark.parametrize("damage", [_bad_tx_signature, _bad_endorsement, _one_endorsement_fewer])
+    def test_damage_anywhere_gives_the_walks_report(self, blocks, damage, monkeypatch):
+        for j in range(len(blocks)):
+            changed = blocks[:j] + [damage(blocks[j])] + blocks[j + 1 :]
+            report = self._cold(monkeypatch, changed)
+            assert report == self._walk(monkeypatch, changed)
+            assert report.ok or report.violation.height == j
+
+    def test_of_two_damaged_blocks_in_one_window_the_first_wins(self, blocks, monkeypatch):
+        windows, start = [], 1  # after genesis, the windows hold 2, 4, 8, ... blocks
+        while start < len(blocks):
+            windows.append(range(start, min(2 * start + 1, len(blocks))))
+            start = 2 * start + 1
+        for j, k in (pair for window in windows for pair in itertools.combinations(window, 2)):
+            changed = list(blocks)
+            changed[j], changed[k] = _bad_endorsement(blocks[j]), _bad_tx_signature(blocks[k])
+            report = self._cold(monkeypatch, changed)
+            assert report == self._walk(monkeypatch, changed)
+            assert report.violation.height == j
+
+    def test_a_cold_walk_verifies_each_signature_once_and_ahead(self, blocks, monkeypatch):
+        """Every signature reaches libsodium once, and after genesis always
+        before `check_block` asks for its verdict."""
+        calls, checked, real = self._foreign_calls(monkeypatch), [], ledger_mod.check_block
+
+        def check_block(prev, block, registry):
+            before = len(calls)
+            violation = real(prev, block, registry)
+            checked.append(len(calls) - before)
+            return violation
+
+        monkeypatch.setattr(ledger_mod, "check_block", check_block)
+        assert self._cold(monkeypatch, blocks).ok
+        assert len(calls) == len(crypto._verify_memo)
+        assert all(crypto._verify_memo.values())
+        assert checked[0] > 0 and checked[1:] == [0] * (len(blocks) - 1)
+
+    @pytest.mark.parametrize("damage", [_bad_tx_signature, _bad_endorsement])
+    def test_a_damaged_first_checked_block_is_verified_alone(self, blocks, damage, monkeypatch):
+        calls = self._foreign_calls(monkeypatch)
+        registry = ledger_mod.Registry()
+        for j, block in enumerate(blocks):
+            changed = LedgerState(blocks[:j] + [damage(block)] + blocks[j + 1 :])
+            monkeypatch.setattr(ledger_mod, "_VALIDATED", ([], ledger_mod.Registry(), []))
+            assert validate_chain(LedgerState(list(blocks))).ok
+            monkeypatch.setattr(crypto, "_verify_memo", {})
+            calls.clear()
+            assert validate_chain(changed).violation.height == j
+            validated = len(calls)
+            monkeypatch.setattr(crypto, "_verify_memo", {})
+            calls.clear()
+            assert ledger_mod.check_block(blocks[j - 1] if j else None, changed.blocks[j], registry) is not None
+            assert validated <= len(calls)
+            registry.fold(block)
 
 
 def _record_spans(data: bytes) -> list[tuple[int, int]]:
